@@ -23,6 +23,7 @@ from .dilatation import (
     check_fullness_pipeline,
     monoid_to_dict,
 )
+from .gallery.semilattice import MAX_GROUND
 from .representation import build_representation, enumerate_endomorphisms, load_frame, verify_basis_equivalence
 
 
@@ -80,7 +81,7 @@ def cmd_dilatations(args) -> dict:
     }
     monoid, info = build_endowed_monoid(analysis)
     report["monoid"] = monoid is not None
-    report["monoid_info"] = {k: v for k, v in info.items()}
+    report["monoid_info"] = info
     if monoid is not None:
         dist = check_distributivities(monoid, analysis)
         report["distributivities"] = dist["status"]
@@ -88,7 +89,8 @@ def cmd_dilatations(args) -> dict:
             with open(args.emit_monoid, "w", encoding="utf-8") as fh:
                 json.dump(monoid_to_dict(monoid), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    check = check_fullness_pipeline(alg, frame, rep=rep, samples=args.samples, seed=args.seed)
+    check = check_fullness_pipeline(alg, frame, rep=rep, samples=args.samples, seed=args.seed,
+                                    analysis=analysis)
     report["fullness_pipeline"] = check["status"]
     ok = analysis.routes_agree and check["status"] == "pass" \
         and report.get("distributivities", "pass") == "pass"
@@ -124,6 +126,8 @@ def cmd_commutative(args) -> dict:
 def cmd_gallery(args) -> dict:
     name = args.name
     if name == "semilattice":
+        if not 1 <= args.size <= MAX_GROUND:
+            raise AlgebraError(f"--size {args.size} outside 1..{MAX_GROUND}")
         ground = tuple("xyzw"[: args.size])
         alg, frame = gallery.build_powerset_semilattice(ground)
         rep = build_representation(alg, frame)

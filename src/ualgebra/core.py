@@ -145,6 +145,9 @@ class Algebra:
     def __post_init__(self):
         if not self.ops:
             raise AlgebraError("empty operation list")
+        symbols = [f.symbol for f in self.ops]
+        if len(set(symbols)) != len(symbols):
+            raise AlgebraError(f"duplicate operation symbols: {symbols}")
         if self.carrier is None and self.sampler is None:
             raise AlgebraError("rule-based algebra needs a sampler")
 

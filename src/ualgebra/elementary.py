@@ -9,9 +9,10 @@ nodes, children ordered by the operation's rank.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .combinator import FunctionTable, projection, set_ary_compose, tabulate
+from .combinator import FunctionTable, projection, set_ary_compose
 from .core import Algebra, AlgebraError, Rank, UnaryMap
 
 DEFAULT_GUARD = 10_000
@@ -53,45 +54,54 @@ def _require_tabulated(alg: Algebra) -> None:
         raise AlgebraError("elementary closure needs a fully tabulated algebra")
 
 
+def _close(alg: Algebra, seeds: dict[tuple, Term], width: int,
+           guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
+    """Subuniverse of A^width generated by the seed vectors, one term each.
+
+    Operations act coordinatewise.  Every round applies each operation to
+    every combination of the members so far (in insertion order) and keeps
+    the first term reaching each new vector, so witnesses have minimal depth.
+    Before each round a member count over ``guard`` stops the closure with
+    the partial set flagged incomplete.
+    """
+    members = dict(seeds)
+    while True:
+        if len(members) > guard:
+            return members, False
+        new: dict[tuple, Term] = {}
+        order = list(members)
+        for g in alg.ops:
+            for combo in itertools.product(order, repeat=len(g.rank)):
+                value = tuple(map(g, zip(*combo))) if combo else (g(()),) * width
+                if value not in members and value not in new:
+                    new[value] = ("op", g.symbol, tuple(members[v] for v in combo))
+        if not new:
+            return members, True
+        members.update(new)
+
+
 def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> ClosureResult:
     """Least fixpoint of composition over the projections, deduplicated by table.
 
-    Breadth-first by term depth, so each kept function carries a
-    minimal-depth witness (first reached in canonical order).  Exceeding the
-    table-count guard aborts with the partial set flagged incomplete.
+    A Y-ary function is its value vector over A^Y, so this is the subuniverse
+    of A^(A^Y) generated by the projections.  Breadth-first by term depth, so
+    each kept function carries a minimal-depth witness (first reached in
+    canonical order).  Exceeding the table-count guard aborts with the partial
+    set flagged incomplete.
     """
     _require_tabulated(alg)
-    found: dict[tuple, ElementaryFunction] = {}
-    order: list[ElementaryFunction] = []
-
-    def add(table: FunctionTable, witness: Term) -> bool:
-        k = table.key()
-        if k in found:
-            return False
-        ef = ElementaryFunction(table, witness)
-        found[k] = ef
-        order.append(ef)
-        return True
-
+    carrier = alg.carrier
+    assigns = list(carrier.assignments(Y))
+    seeds: dict[tuple, Term] = {}
     for x in Y:
-        add(projection(alg.carrier, Y, x), ("proj", x))
-
-    while True:
-        if len(order) > guard:
-            return ClosureResult(tuple(order), complete=False)
-        new: list[tuple[FunctionTable, Term]] = []
-        for g in alg.ops:
-            for combo in itertools.product(order, repeat=len(g.rank)):
-                G = dict(zip(g.rank, (ef.table for ef in combo)))
-                table = set_ary_compose(g, G, alg.carrier, Y)
-                if table.key() not in found:
-                    witness = ("op", g.symbol, tuple(ef.witness for ef in combo))
-                    new.append((table, witness))
-        grew = False
-        for table, witness in new:
-            grew = add(table, witness) or grew
-        if not grew:
-            return ClosureResult(tuple(order), complete=True)
+        pos = Y.index(x)
+        seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
+    members, complete = _close(alg, seeds, len(assigns), guard)
+    functions = tuple(
+        ElementaryFunction(FunctionTable(carrier, Y, dict(zip(assigns, vector))), witness)
+        for vector, witness in members.items()
+    )
+    return ClosureResult(functions, complete)
 
 
 RANKLESS_ARITY: Rank = ("*",)
@@ -112,19 +122,8 @@ def rankless(alg: Algebra, guard: int = DEFAULT_GUARD) -> set[UnaryMap]:
 def subuniverse_with_terms(alg: Algebra, seeds: dict[str, Term]) -> dict[str, Term]:
     """Subalgebra closure of seed elements, keeping one reaching term each."""
     _require_tabulated(alg)
-    reached = dict(seeds)
-    while True:
-        new: dict[str, Term] = {}
-        for g in alg.ops:
-            for combo in itertools.product(sorted(reached, key=alg.carrier.index.get),
-                                           repeat=len(g.rank)):
-                value = g(combo)
-                if value not in reached and value not in new:
-                    new[value] = ("op", g.symbol, tuple(reached[a] for a in combo))
-        if not new:
-            return reached
-        reached.update(new)
-        frontier = list(new)
+    members, _complete = _close(alg, {(a,): term for a, term in seeds.items()}, 1)
+    return {a: term for (a,), term in members.items()}
 
 
 def generated_subuniverse(alg: Algebra, frame) -> set[str]:
@@ -173,21 +172,10 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
 
     chi_tables: dict[str, dict[tuple, str]] = {a: {} for a in carrier.elements}
     for M in carrier.assignments(X):
-        pairs: dict[tuple[str, str], Term] = {}
+        seeds: dict[tuple[str, str], Term] = {}
         for x, m in zip(X, M):
-            p = (frame.U[x], m)
-            if p not in pairs:
-                pairs[p] = ("proj", x)
-        while True:
-            new = {}
-            for g in alg.ops:
-                for combo in itertools.product(list(pairs), repeat=len(g.rank)):
-                    value = (g(tuple(p[0] for p in combo)), g(tuple(p[1] for p in combo)))
-                    if value not in pairs and value not in new:
-                        new[value] = ("op", g.symbol, tuple(pairs[p] for p in combo))
-            if not new:
-                break
-            pairs.update(new)
+            seeds.setdefault((frame.U[x], m), ("proj", x))
+        pairs, _complete = _close(alg, seeds, 2)
         by_first: dict[str, tuple[str, Term]] = {}
         for (a, b), term in pairs.items():
             if a in by_first and by_first[a][0] != b:

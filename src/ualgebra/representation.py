@@ -50,7 +50,7 @@ def _indexed_rows(alg: Algebra):
     return out
 
 
-def _is_endo(alg: Algebra, values: tuple[int, ...], tables) -> bool:
+def _is_endo(values: tuple[int, ...], tables) -> bool:
     for table in tables:
         for args, res in table.items():
             if table[tuple(values[a] for a in args)] != values[res]:
@@ -66,7 +66,7 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
     tables = _indexed_rows(alg)
     out = set()
     for values in itertools.product(range(n), repeat=n):
-        if _is_endo(alg, values, tables):
+        if _is_endo(values, tables):
             out.add(UnaryMap(carrier, tuple(carrier.elements[v] for v in values)))
     return out
 
@@ -171,12 +171,8 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
         by_matrix[m] = h
     unhit = [m for m in carrier.assignments(frame.X) if m not in by_matrix]
     if unhit:
-        if len(carrier) > 1 and not frame.X:
-            reason = "empty frame on a non-trivial algebra: only the identity can be sampled"
-        else:
-            reason = "not-surjective"
         return Representation(alg, frame, frozenset(endos), sampling,
-                              failure={"reason": reason, "matrix": unhit[0]})
+                              failure={"reason": "not-surjective", "matrix": unhit[0]})
 
     conjugates = {
         a: FunctionTable(carrier, frame.X,
@@ -228,29 +224,23 @@ def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | N
 
     carrier = alg.carrier
     n = len(carrier)
-    rejected_ok = True
     if n**n <= reject_cap:
         report["nonmember_check"] = "exhaustive"
-        for values in itertools.product(carrier.elements, repeat=n):
-            h = UnaryMap(carrier, values)
-            if h in rep.endos:
-                continue
-            if conjugate_commutation_defect(rep, h) is None:
-                rejected_ok = False
-                report["nonmember_witness_missing"] = values
-                break
+        candidates = itertools.product(carrier.elements, repeat=n)
     else:
         report["nonmember_check"] = f"sampled:{samples}:seed={seed}"
         rng = random.Random(seed)
-        for _ in range(samples):
-            values = tuple(rng.choice(carrier.elements) for _ in range(n))
-            h = UnaryMap(carrier, values)
-            if h in rep.endos:
-                continue
-            if conjugate_commutation_defect(rep, h) is None:
-                rejected_ok = False
-                report["nonmember_witness_missing"] = values
-                break
+        candidates = (tuple(rng.choice(carrier.elements) for _ in range(n))
+                      for _ in range(samples))
+    rejected_ok = True
+    for values in candidates:
+        h = UnaryMap(carrier, values)
+        if h in rep.endos:
+            continue
+        if conjugate_commutation_defect(rep, h) is None:
+            rejected_ok = False
+            report["nonmember_witness_missing"] = values
+            break
     report["nonmembers_rejected"] = rejected_ok
     report["e_chi_equals_e_alpha"] = report["commutation_members_ok"] and rejected_ok
     return report

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -151,3 +152,27 @@ def test_out_file_and_text_mode(tmp_path, capsys):
 def test_missing_file_errors():
     with pytest.raises(FileNotFoundError):
         run(["endos", "no-such-file.json"])
+
+
+def test_duplicate_operation_symbol_fails(tmp_path):
+    # with two operations named meet, a witness term could name either one
+    doc = json.loads((FIXTURES / "boolean.json").read_text())
+    for od in doc["operations"]:
+        if od["symbol"] == "neg":
+            od["symbol"] = "meet"
+    path = tmp_path / "boolean_dup.json"
+    path.write_text(json.dumps(doc))
+    out, code = run(["commutative", str(path), "--Y", "1"])
+    assert code == 1
+    assert out["report"]["status"] == "fail"
+    assert "duplicate operation symbols" in out["report"]["error"]
+
+
+def test_gallery_semilattice_size_out_of_range():
+    for size in ("0", "5", "-1"):
+        started = time.perf_counter()
+        out, code = run(["gallery", "semilattice", "--size", size])
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out["report"]["status"] == "fail"
+        assert "1..4" in out["report"]["error"]

@@ -47,6 +47,12 @@ def test_empty_operation_list_rejected():
         Algebra("bad", Carrier(("a",)), ())
 
 
+def test_duplicate_operation_symbols_rejected():
+    unary = Operation("u", ("x",), table={("a",): "a"})
+    with pytest.raises(AlgebraError, match="duplicate operation symbols"):
+        Algebra("bad", Carrier(("a",)), (unary, unary))
+
+
 def test_value_outside_carrier_rejected():
     doc = {
         "name": "bad",

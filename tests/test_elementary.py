@@ -1,12 +1,18 @@
 import itertools
+import random
 
-from ualgebra.combinator import constant_fn, projection
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_algebra
+from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.core import Algebra, Carrier, Operation
 from ualgebra.elementary import (
     elementary_closure,
     elementary_generator,
     generated_subuniverse,
     rankless,
+    subuniverse_with_terms,
     term_table,
 )
 from ualgebra.representation import Frame
@@ -172,3 +178,40 @@ def test_not_independent_diagnosis():
     U = ("a", "b")
     assert ell.table(U) == ell2.table(U)
     assert ell.table != ell2.table
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), Y=st.sampled_from([("p",), ("p", "q")]))
+def test_closure_engine_against_composition(seed, Y):
+    """Closures of random algebras, checked only through set_ary_compose and
+    term_table: projections are members, every witness re-tabulates to its
+    table and, when complete, the closure is closed under every operation."""
+    alg, _frame = random_algebra(random.Random(seed), max_size=3)
+    result = elementary_closure(alg, Y, guard=40)
+    tables = [ef.table for ef in result.functions]
+    assert len(set(tables)) == len(tables)
+    for x in Y:
+        assert projection(alg.carrier, Y, x) in tables
+    for ef in result.functions:
+        assert term_table(alg, ef.witness, Y) == ef.table
+    if not result.complete:
+        assert len(tables) > 40
+        return
+    members = set(tables)
+    for g in alg.ops:
+        for combo in itertools.product(tables, repeat=len(g.rank)):
+            assert set_ary_compose(g, dict(zip(g.rank, combo)), alg.carrier, Y) in members
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_subuniverse_terms_evaluate_to_members(seed):
+    """Each generated element's term, evaluated at the frame, gives that
+    element, and the generated set is closed under every operation."""
+    alg, frame = random_algebra(random.Random(seed), max_size=3)
+    reach = subuniverse_with_terms(alg, {frame.U[x]: ("proj", x) for x in frame.X})
+    for a, term in reach.items():
+        assert term_table(alg, term, frame.X)(frame.columns()) == a
+    for g in alg.ops:
+        for args in itertools.product(reach, repeat=len(g.rank)):
+            assert g(args) in reach

@@ -126,6 +126,15 @@ def test_basis_equivalence_semilattice(semilattice2):
     assert report["nonmember_check"] == "exhaustive"
 
 
+def test_basis_equivalence_sampled_nonmembers(semilattice2):
+    alg, frame = semilattice2
+    # 4^4 candidate maps exceed the cap, so non-members are drawn at random
+    report = verify_basis_equivalence(alg, frame, samples=200, seed=3, reject_cap=100)
+    assert report["nonmember_check"] == "sampled:200:seed=3"
+    assert report["nonmembers_rejected"] and report["e_chi_equals_e_alpha"]
+    assert report == verify_basis_equivalence(alg, frame, samples=200, seed=3, reject_cap=100)
+
+
 def test_basis_equivalence_boolean(boolean):
     alg, frame = boolean
     report = verify_basis_equivalence(alg, frame)

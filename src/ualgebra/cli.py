@@ -116,10 +116,14 @@ def cmd_commutative(args) -> dict:
         report["status"] = "fail"
     if frame is not None:
         rep = build_representation(alg, frame)
-        cor = check_conjugate_commutation(rep)
-        report["conjugate_commutation"] = cor["status"]
-        if cor["status"] == "fail":
-            report["status"] = "fail"
+        if not commutative:
+            # as for closure_commutation: the claim is about commutative algebras
+            report["conjugate_commutation"] = "skipped"
+        else:
+            cor = check_conjugate_commutation(rep)
+            report["conjugate_commutation"] = cor["status"]
+            if cor["status"] == "fail":
+                report["status"] = "fail"
     return report
 
 

@@ -188,17 +188,18 @@ def validate_algebra(alg: Algebra) -> None:
 def algebra_from_dict(doc: dict) -> Algebra:
     try:
         elements = doc["elements"]
-        op_docs = doc["operations"]
+        if not all(isinstance(e, str) for e in elements):
+            raise AlgebraError(f"element names must be strings: {elements}")
+        carrier = Carrier(tuple(elements))
+        ops = []
+        for od in doc["operations"]:
+            rank = make_rank(od["rank"])
+            table = {tuple(row["args"]): row["value"] for row in od["table"]}
+            if len(table) != len(od["table"]):
+                raise AlgebraError(f"operation {od['symbol']}: duplicate table rows")
+            ops.append(Operation(od["symbol"], rank, table=table))
     except KeyError as exc:
         raise AlgebraError(f"missing field {exc}") from None
-    carrier = Carrier(tuple(elements))
-    ops = []
-    for od in op_docs:
-        rank = make_rank(od["rank"])
-        table = {tuple(row["args"]): row["value"] for row in od["table"]}
-        if len(table) != len(od["table"]):
-            raise AlgebraError(f"operation {od['symbol']}: duplicate table rows")
-        ops.append(Operation(od["symbol"], rank, table=table))
     alg = Algebra(doc.get("name", "algebra"), carrier, tuple(ops))
     validate_algebra(alg)
     return alg
@@ -224,9 +225,17 @@ def algebra_to_dict(alg: Algebra) -> dict:
     }
 
 
-def load_algebra(path) -> Algebra:
+def read_json(path):
+    """Parse a JSON file; contents that are not JSON raise AlgebraError."""
     with open(path, encoding="utf-8") as fh:
-        return algebra_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise AlgebraError(f"{path} is not a JSON document: {exc}") from None
+
+
+def load_algebra(path) -> Algebra:
+    return algebra_from_dict(read_json(path))
 
 
 def save_algebra(alg: Algebra, path) -> None:

@@ -176,9 +176,9 @@ def check_fullness_pipeline(alg: Algebra, frame: Frame, rep: Representation | No
                       analysis: DilatationAnalysis | None = None) -> dict:
     """Commutative based algebras are dilatation full with an endowed monoid.
 
-    Also reports the underlying mechanism, every equalized conjugate being
-    an endomorphism, which is exactly fullness.  ``analysis`` reuses the
-    caller's dilatation analysis of ``rep``.
+    Its ``full`` field reports the underlying mechanism: every equalized
+    conjugate is an endomorphism.  ``analysis`` reuses the caller's
+    dilatation analysis of ``rep``.
     """
     if rep is None:
         rep = build_representation(alg, frame)
@@ -197,7 +197,6 @@ def check_fullness_pipeline(alg: Algebra, frame: Frame, rep: Representation | No
         out["status"] = "pass"  # nothing to assert; record the contrapositive facts
         return out
 
-    out["key_step_ok"] = analysis.full
     monoid, info = build_endowed_monoid(analysis)
     out["monoid_built"] = monoid is not None
     out["monoid_info"] = info

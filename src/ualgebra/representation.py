@@ -8,12 +8,11 @@ and tabulate the conjugate function of every element.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 
 from .combinator import FunctionTable
-from .core import Algebra, AlgebraError, Carrier, GuardExceeded, Rank, UnaryMap, make_rank
+from .core import Algebra, AlgebraError, GuardExceeded, Rank, UnaryMap, make_rank, read_json
 from .elementary import elementary_generator
 
 BRUTE_CAP = 100_000
@@ -35,9 +34,15 @@ class Frame:
 
 
 def load_frame(path) -> Frame:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return Frame(make_rank(doc["X"]), {row["index"]: row["value"] for row in doc["U"]})
+    doc = read_json(path)
+    try:
+        X = make_rank(doc["X"])
+        U = {row["index"]: row["value"] for row in doc["U"]}
+    except KeyError as exc:
+        raise AlgebraError(f"missing field {exc}") from None
+    if not all(isinstance(v, str) for v in U.values()):
+        raise AlgebraError(f"frame values must be strings: {list(U.values())}")
+    return Frame(X, U)
 
 
 def _indexed_rows(alg: Algebra):
@@ -74,22 +79,39 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
 def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
     carrier = alg.carrier
     n = len(carrier)
-    tables = _indexed_rows(alg)
+    # every row as (arguments, result, the table as a list by the Horner code
+    # of the arguments), watched by each element it mentions
+    watch: list[list] = [[] for _ in range(n)]
+    nullary = []
+    for table in _indexed_rows(alg):
+        flat = [table[args] for args in sorted(table)]  # sorted is Horner order
+        for args, res in table.items():
+            row = (args, res, flat)
+            for e in {*args, res}:
+                watch[e].append(row)
+            if not args:
+                nullary.append(res)
 
-    def propagate(h: list) -> bool:
-        # derive h(f(args)) = f(h . args) wherever all arguments are assigned
-        changed = True
-        while changed:
-            changed = False
-            for table in tables:
-                for args, res in table.items():
-                    imgs = tuple(h[a] for a in args)
-                    if any(v is None for v in imgs):
-                        continue
-                    forced = table[imgs]
+    def assign(h: list, e: int, v: int) -> bool:
+        # set h(e) = v and derive h(f(args)) = f(h . args) for every row
+        # whose arguments become all assigned; False on a contradiction
+        if h[e] is not None:
+            return h[e] == v
+        h[e] = v
+        queue = [e]
+        while queue:
+            for args, res, flat in watch[queue.pop()]:
+                code = 0
+                for a in args:
+                    img = h[a]
+                    if img is None:
+                        break
+                    code = code * n + img
+                else:
+                    forced = flat[code]
                     if h[res] is None:
                         h[res] = forced
-                        changed = True
+                        queue.append(res)
                     elif h[res] != forced:
                         return False
         return True
@@ -104,12 +126,12 @@ def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
             return
         for v in range(n):
             trial = list(h)
-            trial[pos] = v
-            if propagate(trial):
+            if assign(trial, pos, v):
                 search(trial, pos + 1)
 
+    # a nullary value c satisfies h(c) = c in every endomorphism
     seed = [None] * n
-    if propagate(seed):
+    if all(assign(seed, c, c) for c in nullary):
         search(seed, 0)
     return out
 
@@ -183,13 +205,38 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
                           extension=by_matrix, conjugates=conjugates)
 
 
-def conjugate_commutation_defect(rep: Representation, h: UnaryMap) -> tuple[str, Matrix] | None:
-    """First (a, M) violating h(chi_a(M)) = chi_a(h . M), or None if none."""
-    for a, chi_a in rep.conjugates.items():
-        for m in rep.matrices():
-            if h(chi_a(m)) != chi_a(tuple(h(v) for v in m)):
-                return (a, m)
-    return None
+def commutation_checker(rep: Representation):
+    """The defect test of h in E_chi, for a bijective representation.
+
+    Returns ``defect(values)``: for the map h given as carrier indices, the
+    first matrix M in canonical order with h . chi_.(M) != chi_.(h . M), or
+    None.  chi_.(M) is the vector (chi_a(M))_a, so this checks every pair
+    h(chi_a(M)) = chi_a(h . M), one M at a time.
+    """
+    carrier = rep.algebra.carrier
+    idx = carrier.index
+    n = len(carrier)
+    k = len(rep.frame.X)
+    matrices = list(rep.matrices())
+    # chi_.(M) for every M in canonical order, which is Horner-code order.
+    # Each vector is a string of code points, so that str.translate applies h
+    # and str.join gathers vectors element by element in C.
+    vectors = ["".join(chr(idx[rep.conjugates[a].table[m]]) for a in carrier.elements)
+               for m in matrices]
+    chi = "".join(vectors)
+
+    def defect(values: tuple[int, ...]) -> Matrix | None:
+        moved = [0]  # Horner codes of h . M, in canonical order of M
+        for _ in range(k):
+            moved = [c * n + v for c in moved for v in values]
+        after = chi.translate(values)
+        before = "".join(map(vectors.__getitem__, moved))
+        if after == before:
+            return None
+        return next(m for i, m in enumerate(matrices)
+                    if after[i * n:(i + 1) * n] != before[i * n:(i + 1) * n])
+
+    return defect
 
 
 def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | None = None,
@@ -219,27 +266,28 @@ def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | N
         gen.chi[a].table == rep.conjugates[a] for a in alg.carrier.elements
     )
 
-    bad = [h for h in rep.endos if conjugate_commutation_defect(rep, h) is not None]
-    report["commutation_members_ok"] = not bad
-
+    defect = commutation_checker(rep)
     carrier = alg.carrier
     n = len(carrier)
+    idx = carrier.index
+    members = {tuple(idx[v] for v in h.values) for h in rep.endos}
+    report["commutation_members_ok"] = all(defect(h) is None for h in members)
+
     if n**n <= reject_cap:
         report["nonmember_check"] = "exhaustive"
-        candidates = itertools.product(carrier.elements, repeat=n)
+        candidates = itertools.product(range(n), repeat=n)
     else:
         report["nonmember_check"] = f"sampled:{samples}:seed={seed}"
         rng = random.Random(seed)
-        candidates = (tuple(rng.choice(carrier.elements) for _ in range(n))
+        candidates = (tuple(rng.choice(range(n)) for _ in range(n))
                       for _ in range(samples))
     rejected_ok = True
-    for values in candidates:
-        h = UnaryMap(carrier, values)
-        if h in rep.endos:
+    for h in candidates:
+        if h in members:
             continue
-        if conjugate_commutation_defect(rep, h) is None:
+        if defect(h) is None:
             rejected_ok = False
-            report["nonmember_witness_missing"] = values
+            report["nonmember_witness_missing"] = tuple(carrier.elements[v] for v in h)
             break
     report["nonmembers_rejected"] = rejected_ok
     report["e_chi_equals_e_alpha"] = report["commutation_members_ok"] and rejected_ok

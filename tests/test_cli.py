@@ -176,3 +176,66 @@ def test_gallery_semilattice_size_out_of_range():
         assert code == 1
         assert out["report"]["status"] == "fail"
         assert "1..4" in out["report"]["error"]
+
+
+def test_commutative_frame_skipped_when_not_commutative():
+    out, code = run(["commutative", str(FIXTURES / "boolean.json"),
+                     "--frame", str(FIXTURES / "boolean_frame.json")])
+    assert code == 0
+    body = out["report"]
+    assert not body["commutative"] and body["status"] == "pass"
+    assert body["conjugate_commutation"] == "skipped"
+
+
+def _run_with(tmp_path, doc, argv_of) -> dict:
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out, code = run(argv_of(str(path)))
+    assert code == 1
+    assert out["report"]["status"] == "fail"
+    return out["report"]
+
+
+def test_non_json_file_fails(tmp_path):
+    body = _run_with(tmp_path, "{not json", lambda p: ["endos", p])
+    assert "not a JSON document" in body["error"]
+
+
+@pytest.mark.parametrize("field", ["symbol", "rank", "table", "args", "value"])
+def test_algebra_missing_field_fails(tmp_path, field):
+    doc = json.loads((FIXTURES / "boolean.json").read_text())
+    op = doc["operations"][0]
+    if field in ("args", "value"):
+        del op["table"][0][field]
+    else:
+        del op[field]
+    body = _run_with(tmp_path, doc, lambda p: ["endos", p])
+    assert body["error"] == f"missing field '{field}'"
+
+
+@pytest.mark.parametrize("field", ["X", "U", "index", "value"])
+def test_frame_missing_field_fails(tmp_path, field):
+    doc = json.loads((FIXTURES / "semilattice2_frame.json").read_text())
+    if field in ("index", "value"):
+        del doc["U"][0][field]
+    else:
+        del doc[field]
+    algebra = str(FIXTURES / "semilattice2.json")
+    body = _run_with(tmp_path, doc, lambda p: ["basis", algebra, p])
+    assert body["error"] == f"missing field '{field}'"
+
+
+def test_non_string_element_names_fail(tmp_path):
+    doc = {"elements": [0, 1], "operations": [
+        {"symbol": "f", "rank": ["a"],
+         "table": [{"args": [0], "value": 1}, {"args": [1], "value": 0}]}]}
+    body = _run_with(tmp_path, doc, lambda p: ["endos", p])
+    assert "element names must be strings" in body["error"]
+
+
+def test_non_string_frame_value_fails(tmp_path):
+    doc = json.loads((FIXTURES / "semilattice2_frame.json").read_text())
+    doc["U"][0]["value"] = ["{x}"]
+    algebra = str(FIXTURES / "semilattice2.json")
+    body = _run_with(tmp_path, doc, lambda p: ["basis", algebra, p])
+    assert "frame values must be strings" in body["error"]

@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_algebra
 from ualgebra.core import Algebra, AlgebraError, Carrier, Operation, UnaryMap
@@ -8,9 +12,22 @@ from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import (
     Frame,
     build_representation,
+    commutation_checker,
     enumerate_endomorphisms,
     verify_basis_equivalence,
 )
+
+
+def conjugate_commutation_defect(rep, h: UnaryMap):
+    """First (a, M) violating h(chi_a(M)) = chi_a(h . M), or None if none.
+
+    Element-at-a-time oracle for ``commutation_checker``.
+    """
+    for a, chi_a in rep.conjugates.items():
+        for m in rep.matrices():
+            if h(chi_a(m)) != chi_a(tuple(h(v) for v in m)):
+                return (a, m)
+    return None
 
 
 def test_semilattice_endo_count(semilattice2):
@@ -45,6 +62,40 @@ def test_methods_agree_at_size_five():
     for _ in range(5):
         alg, _frame = random_algebra(rng, max_size=5)
         assert enumerate_endomorphisms(alg, "brute") == enumerate_endomorphisms(alg, "backtrack")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unary_only=st.booleans(),
+       constants=st.lists(st.integers(0, 4), max_size=2))
+def test_backtrack_matches_brute(seed, unary_only, constants):
+    # random_algebra adds a nullary operation half the time; extra constants
+    # make several nullary rows seed the search together.  Without the random
+    # binary operation most maps survive long enough for propagation chains.
+    alg, _frame = random_algebra(random.Random(seed), max_size=5)
+    elements = alg.carrier.elements
+    ops = tuple(f for f in alg.ops if not (unary_only and f.symbol == "f"))
+    ops += tuple(Operation(f"k{i}", (), table={(): elements[c % len(elements)]})
+                 for i, c in enumerate(constants))
+    alg = Algebra(alg.name, alg.carrier, ops)
+    assert enumerate_endomorphisms(alg, "backtrack") == enumerate_endomorphisms(alg, "brute")
+
+
+def max_chain(rng: random.Random, n: int) -> Algebra:
+    """The max-semilattice of an n-chain, its carrier listed in a shuffled order."""
+    height = list(range(n))
+    rng.shuffle(height)
+    elements = tuple(f"c{i}" for i in range(n))
+    table = {(a, b): a if height[i] >= height[j] else b
+             for i, a in enumerate(elements) for j, b in enumerate(elements)}
+    return Algebra("chain", Carrier(elements), (Operation("max", ("l", "r"), table=table),))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_relabeled_chain_endo_count(n):
+    # endomorphisms of a max-chain are the monotone self-maps: C(2n-1, n)
+    rng = random.Random(n)
+    for _ in range(3):
+        assert len(enumerate_endomorphisms(max_chain(rng, n))) == math.comb(2 * n - 1, n)
 
 
 def test_rule_based_rejected():
@@ -158,3 +209,31 @@ def test_conjugates_are_elementary(semilattice2, boolean):
         tables = elementary_closure(alg, frame.X).tables()
         for a in alg.carrier.elements:
             assert rep.conjugates[a] in tables
+
+
+def _first_defect(rep, h: UnaryMap):
+    """First M in canonical order with h(chi_a(M)) != chi_a(h . M) for some a."""
+    for m in rep.matrices():
+        hm = tuple(h(v) for v in m)
+        if any(h(chi_a(m)) != chi_a(hm) for chi_a in rep.conjugates.values()):
+            return m
+    return None
+
+
+def test_commutation_checker_matches_oracle(semilattice2, boolean):
+    reps = [build_representation(alg, frame) for alg, frame in (semilattice2, boolean)]
+    rng = random.Random(5)
+    while len(reps) < 8:
+        rep = build_representation(*random_algebra(rng, max_size=4))
+        if rep.bijective:
+            reps.append(rep)
+    for rep in reps:
+        carrier = rep.algebra.carrier
+        defect = commutation_checker(rep)
+        # every map A -> A: the members and every non-member
+        for values in itertools.product(range(len(carrier)), repeat=len(carrier)):
+            h = UnaryMap(carrier, tuple(carrier.elements[v] for v in values))
+            found = defect(values)
+            assert (found is None) == (conjugate_commutation_defect(rep, h) is None)
+            assert found == _first_defect(rep, h)
+            assert (found is None) == (h in rep.endos)

@@ -185,19 +185,44 @@ def validate_algebra(alg: Algebra) -> None:
                 raise AlgebraError(f"operation {f.symbol}: value outside carrier: {value}")
 
 
-def algebra_from_dict(doc: dict) -> Algebra:
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def expect_json(value, kind: type, what: str):
+    """``value`` when it is a JSON object, array or string (``kind`` dict, list
+    or str); anything else raises AlgebraError naming ``what``."""
+    if not isinstance(value, kind):
+        raise AlgebraError(f"{what} must be {_JSON_KINDS[kind]}: {value!r}")
+    return value
+
+
+def expect_strings(value, what: str) -> list[str]:
+    """``value`` when it is a JSON array of strings, else AlgebraError."""
+    expect_json(value, list, what)
+    if not all(isinstance(v, str) for v in value):
+        raise AlgebraError(f"{what} must be strings: {value!r}")
+    return value
+
+
+def algebra_from_dict(doc) -> Algebra:
+    expect_json(doc, dict, "an algebra document")
     try:
-        elements = doc["elements"]
-        if not all(isinstance(e, str) for e in elements):
-            raise AlgebraError(f"element names must be strings: {elements}")
-        carrier = Carrier(tuple(elements))
+        carrier = Carrier(tuple(expect_strings(doc["elements"], "element names")))
         ops = []
-        for od in doc["operations"]:
-            rank = make_rank(od["rank"])
-            table = {tuple(row["args"]): row["value"] for row in od["table"]}
-            if len(table) != len(od["table"]):
-                raise AlgebraError(f"operation {od['symbol']}: duplicate table rows")
-            ops.append(Operation(od["symbol"], rank, table=table))
+        for od in expect_json(doc["operations"], list, "operations"):
+            expect_json(od, dict, "an operation")
+            symbol = expect_json(od["symbol"], str, "an operation symbol")
+            rank = make_rank(expect_strings(od["rank"], f"operation {symbol}: rank labels"))
+            rows = expect_json(od["table"], list, f"operation {symbol}: table")
+            row_what, args_what, value_what = (
+                f"operation {symbol}: {noun}" for noun in ("a table row", "args", "a value"))
+            table = {}
+            for row in rows:
+                args = expect_strings(expect_json(row, dict, row_what)["args"], args_what)
+                table[tuple(args)] = expect_json(row["value"], str, value_what)
+            if len(table) != len(rows):
+                raise AlgebraError(f"operation {symbol}: duplicate table rows")
+            ops.append(Operation(symbol, rank, table=table))
     except KeyError as exc:
         raise AlgebraError(f"missing field {exc}") from None
     alg = Algebra(doc.get("name", "algebra"), carrier, tuple(ops))

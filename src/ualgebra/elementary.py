@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .combinator import FunctionTable, projection, set_ary_compose
@@ -54,30 +55,84 @@ def _require_tabulated(alg: Algebra) -> None:
         raise AlgebraError("elementary closure needs a fully tabulated algebra")
 
 
-def _close(alg: Algebra, seeds: dict[tuple, Term], width: int,
-           guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
-    """Subuniverse of A^width generated by the seed vectors, one term each.
+def _horner_tables(alg: Algebra) -> list[tuple[str, int, list[int]]]:
+    """Each operation as (symbol, arity, values), the values as carrier
+    indices listed by the Horner code of the argument indices."""
+    idx = alg.carrier.index
+    # canonical row order is Horner order
+    return [(g.symbol, len(g.rank),
+             [idx[g.table[args]] for args in alg.carrier.assignments(g.rank)])
+            for g in alg.ops]
 
-    Operations act coordinatewise.  Every round applies each operation to
-    every combination of the members so far (in insertion order) and keeps
-    the first term reaching each new vector, so witnesses have minimal depth.
-    Before each round a member count over ``guard`` stops the closure with
-    the partial set flagged incomplete.
+
+def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
+              width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
+    """Subuniverse of A^width generated by the seed vectors, over carrier indices.
+
+    Operations act coordinatewise through their Horner tables (``n`` is the
+    carrier size).  Round by round, each operation is applied to combinations
+    of the members in lexicographic order of their positions, and the first
+    term reaching each new vector is kept, so witnesses have minimal depth.  A round evaluates only the combinations
+    with an argument among the previous round's new members: any other was
+    evaluated a round earlier and its value is already a member.  So nullary
+    operations run in the first round only, and the last slot is restricted
+    to the new members when no earlier slot holds one.  Before each round a
+    member count over ``guard`` stops the closure with the partial set
+    flagged incomplete.
     """
     members = dict(seeds)
+    order = list(members)
+    columns = [[v[c] for v in order] for c in range(width)]
+
+    def add(value, term):
+        members[value] = term
+        order.append(value)
+        for col, a in zip(columns, value):
+            col.append(a)
+
+    first, start = True, 0  # start: position of the previous round's first new member
     while True:
-        if len(members) > guard:
+        if len(order) > guard:
             return members, False
-        new: dict[tuple, Term] = {}
-        order = list(members)
-        for g in alg.ops:
-            for combo in itertools.product(order, repeat=len(g.rank)):
-                value = tuple(map(g, zip(*combo))) if combo else (g(()),) * width
-                if value not in members and value not in new:
-                    new[value] = ("op", g.symbol, tuple(members[v] for v in combo))
-        if not new:
+        end = len(order)
+        for symbol, k, flat in ops:
+            if not k:
+                if first:
+                    value = (flat[0],) * width
+                    if value not in members:
+                        add(value, ("op", symbol, ()))
+                continue
+            for head in itertools.product(range(end), repeat=k - 1):
+                # Horner code of the head's arguments, shifted for the last slot
+                prefix = (0,) * width
+                for i in head:
+                    prefix = tuple(map(n.__mul__, map(operator.add, prefix, order[i])))
+                lo = start if max(head, default=-1) < start else 0
+                # the values over every last-slot member, a coordinate at a time:
+                # coordinate code c reads the table row flat[c:c + n]
+                values = list(zip(*[map(flat[c:c + n].__getitem__, col[lo:end])
+                                    for c, col in zip(prefix, columns)]))
+                if all(map(members.__contains__, values)):
+                    continue
+                for j, value in enumerate(values, lo):
+                    if value not in members:
+                        add(value, ("op", symbol, tuple(members[order[i]] for i in (*head, j))))
+        if len(order) == end:
             return members, True
-        members.update(new)
+        first, start = False, end
+
+
+def _close(alg: Algebra, seeds: dict[tuple, Term], width: int,
+           guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
+    """``_fixpoint`` over element names: the seed vectors and members are
+    tuples of carrier elements, in the members' insertion order."""
+    idx = alg.carrier.index
+    names = alg.carrier.elements
+    members, complete = _fixpoint(
+        len(names), _horner_tables(alg),
+        {tuple(idx[a] for a in vector): term for vector, term in seeds.items()},
+        width, guard)
+    return {tuple(names[c] for c in vector): term for vector, term in members.items()}, complete
 
 
 def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> ClosureResult:
@@ -170,13 +225,18 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
         return GeneratorResult("not-generator",
                                missing=frozenset(set(carrier.elements) - set(reach)))
 
-    chi_tables: dict[str, dict[tuple, str]] = {a: {} for a in carrier.elements}
+    n = len(carrier)
+    names = carrier.elements
+    idx = carrier.index
+    ops = _horner_tables(alg)
+    U = [idx[frame.U[x]] for x in X]
+    chi_tables: dict[str, dict[tuple, str]] = {a: {} for a in names}
     for M in carrier.assignments(X):
-        seeds: dict[tuple[str, str], Term] = {}
-        for x, m in zip(X, M):
-            seeds.setdefault((frame.U[x], m), ("proj", x))
-        pairs, _complete = _close(alg, seeds, 2)
-        by_first: dict[str, tuple[str, Term]] = {}
+        seeds: dict[tuple[int, int], Term] = {}
+        for x, u, m in zip(X, U, M):
+            seeds.setdefault((u, idx[m]), ("proj", x))
+        pairs, _complete = _fixpoint(n, ops, seeds, 2)
+        by_first: dict[int, tuple[int, Term]] = {}
         for (a, b), term in pairs.items():
             if a in by_first and by_first[a][0] != b:
                 ell = ElementaryFunction(term_table(alg, by_first[a][1], X), by_first[a][1])
@@ -184,7 +244,7 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
                 return GeneratorResult("not-independent", witness=(ell, ell2))
             by_first.setdefault(a, (b, term))
         for a, (b, _term) in by_first.items():
-            chi_tables[a][M] = b
+            chi_tables[names[a]][M] = names[b]
 
     chi = {
         a: ElementaryFunction(FunctionTable(carrier, X, chi_tables[a]), reach[a])

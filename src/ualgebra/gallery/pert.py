@@ -9,11 +9,10 @@ exactly the forward-pass iteration of the CPM-PERT algorithm.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
-from ..core import Algebra, AlgebraError, Operation
+from ..core import Algebra, AlgebraError, Operation, expect_json, expect_strings, read_json
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,13 @@ class PertProject:
     M: dict[str, Schedule]
 
     def __post_init__(self):
+        if not self.events:
+            raise AlgebraError("a project needs at least one event")
         if set(self.M) != set(self.events):
             raise AlgebraError("project matrix must be total over the event set")
+        if not {y for s in self.M.values() for y, _t in s.entries} <= self.M.keys():
+            x, y = next((x, y) for x, y, _t in self.arcs() if y not in self.M)
+            raise AlgebraError(f"successor {y!r} of event {x!r} is not an event")
 
     def arcs(self):
         for x in self.events:
@@ -77,13 +81,27 @@ class PertProject:
 
 
 def load_project(path) -> PertProject:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    events = tuple(doc["events"])
-    M = {
-        row["event"]: Schedule.of({s["event"]: s["time"] for s in row["successors"]})
-        for row in doc["M"]
-    }
+    doc = expect_json(read_json(path), dict, "a project document")
+    try:
+        events = tuple(expect_strings(doc["events"], "events"))
+        M = {}
+        for row in expect_json(doc["M"], list, "M"):
+            expect_json(row, dict, "an M row")
+            event = expect_json(row["event"], str, "an event")
+            if event in M:
+                raise AlgebraError(f"duplicate M rows for event {event!r}")
+            times = {}
+            for succ in expect_json(row["successors"], list, f"successors of {event}"):
+                y = expect_json(expect_json(succ, dict, "a successor")["event"], str, "an event")
+                t = succ["time"]
+                if type(t) is not int:  # a JSON true or false is a bool, not a time
+                    raise AlgebraError(f"time of {event} -> {y} must be an integer: {t!r}")
+                if y in times:
+                    raise AlgebraError(f"duplicate successor {y!r} of event {event!r}")
+                times[y] = t
+            M[event] = Schedule.of(times)
+    except KeyError as exc:
+        raise AlgebraError(f"missing field {exc}") from None
     return PertProject(events, M)
 
 

@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass, field
 
 from .combinator import FunctionTable
-from .core import Algebra, AlgebraError, GuardExceeded, Rank, UnaryMap, make_rank, read_json
+from .core import (Algebra, AlgebraError, GuardExceeded, Rank, UnaryMap, expect_json,
+                   expect_strings, make_rank, read_json)
 from .elementary import elementary_generator
 
 BRUTE_CAP = 100_000
@@ -34,10 +35,16 @@ class Frame:
 
 
 def load_frame(path) -> Frame:
-    doc = read_json(path)
+    doc = expect_json(read_json(path), dict, "a frame document")
     try:
-        X = make_rank(doc["X"])
-        U = {row["index"]: row["value"] for row in doc["U"]}
+        X = make_rank(expect_strings(doc["X"], "frame labels"))
+        U = {}
+        for row in expect_json(doc["U"], list, "U"):
+            expect_json(row, dict, "a U row")
+            label = expect_json(row["index"], str, "a frame label")
+            if label in U:
+                raise AlgebraError(f"duplicate U rows for frame label {label!r}")
+            U[label] = row["value"]
     except KeyError as exc:
         raise AlgebraError(f"missing field {exc}") from None
     if not all(isinstance(v, str) for v in U.values()):

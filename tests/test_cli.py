@@ -239,3 +239,82 @@ def test_non_string_frame_value_fails(tmp_path):
     algebra = str(FIXTURES / "semilattice2.json")
     body = _run_with(tmp_path, doc, lambda p: ["basis", algebra, p])
     assert "frame values must be strings" in body["error"]
+
+
+def test_duplicate_frame_rows_fail(tmp_path):
+    # x -> {x} then x -> {y}: the frame is malformed, not a non-injective sampling
+    doc = {"X": ["x", "y"], "U": [{"index": "x", "value": "{x}"},
+                                  {"index": "x", "value": "{y}"},
+                                  {"index": "y", "value": "{y}"}]}
+    algebra = str(FIXTURES / "semilattice2.json")
+    body = _run_with(tmp_path, doc, lambda p: ["basis", algebra, p])
+    assert body["error"] == "duplicate U rows for frame label 'x'"
+    assert "failure" not in body
+
+
+def _boolean_doc():
+    return json.loads((FIXTURES / "boolean.json").read_text())
+
+
+def _set_table_row(row):
+    doc = _boolean_doc()
+    doc["operations"][0]["table"][0] = row
+    return doc
+
+
+@pytest.mark.parametrize("doc, error", [
+    ([1, 2], "an algebra document must be an object: [1, 2]"),
+    ({**_boolean_doc(), "operations": [["meet"]]}, "an operation must be an object: ['meet']"),
+    (_set_table_row(["bot", "bot"]), "a table row must be an object: ['bot', 'bot']"),
+    (_set_table_row({"args": "bot", "value": "bot"}), "args must be an array: 'bot'"),
+])
+def test_algebra_wrong_shape_fails(tmp_path, doc, error):
+    body = _run_with(tmp_path, doc, lambda p: ["endos", p])
+    assert body["error"].endswith(error)
+
+
+@pytest.mark.parametrize("doc, error", [
+    (["x"], "a frame document must be an object: ['x']"),
+    ({"X": ["x"], "U": [["x", "{x}"]]}, "a U row must be an object: ['x', '{x}']"),
+])
+def test_frame_wrong_shape_fails(tmp_path, doc, error):
+    algebra = str(FIXTURES / "semilattice2.json")
+    body = _run_with(tmp_path, doc, lambda p: ["basis", algebra, p])
+    assert body["error"] == error
+
+
+def _project(**changes):
+    doc = {"events": ["a", "b"],
+           "M": [{"event": "a", "successors": [{"event": "b", "time": 1}]},
+                 {"event": "b", "successors": []}]}
+    doc.update(changes)
+    return doc
+
+
+def _successor(**changes):
+    return _project(M=[{"event": "a", "successors": [{"event": "b", "time": 1, **changes}]},
+                       {"event": "b", "successors": []}])
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"events": ["a"]}, "missing field 'M'"),
+    ({"M": []}, "missing field 'events'"),
+    (_project(M=[{"successors": []}]), "missing field 'event'"),
+    (_project(M=[{"event": "a"}]), "missing field 'successors'"),
+    (_project(M=[{"event": "a", "successors": [{"event": "b"}]}]), "missing field 'time'"),
+    (["a"], "a project document must be an object: ['a']"),
+    (_project(events="ab"), "events must be an array: 'ab'"),
+    (_project(M=[["a", []]]), "an M row must be an object: ['a', []]"),
+    (_project(M=[{"event": "a", "successors": {"b": 1}}]),
+     "successors of a must be an array: {'b': 1}"),
+    (_successor(time="1"), "time of a -> b must be an integer: '1'"),
+    (_successor(time=True), "time of a -> b must be an integer: True"),
+    (_project(M=[{"event": "a", "successors": []}] * 2), "duplicate M rows for event 'a'"),
+    (_project(M=[{"event": "a", "successors": [{"event": "b", "time": 1}] * 2},
+                 {"event": "b", "successors": []}]), "duplicate successor 'b' of event 'a'"),
+    (_successor(event="z"), "successor 'z' of event 'a' is not an event"),
+    ({"events": [], "M": []}, "a project needs at least one event"),
+])
+def test_gallery_pert_bad_project_fails(tmp_path, doc, error):
+    body = _run_with(tmp_path, doc, lambda p: ["gallery", "pert", p, "--forward"])
+    assert body["error"] == error

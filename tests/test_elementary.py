@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_algebra
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.core import Algebra, Carrier, Operation
 from ualgebra.elementary import (
+    _close,
+    _fixpoint,
+    _horner_tables,
     elementary_closure,
     elementary_generator,
     generated_subuniverse,
@@ -39,6 +43,127 @@ def brute_closure_tables(alg, Y, max_depth=4):
                 nxt.add(FunctionTable(alg.carrier, Y, table))
         levels.append(nxt)
     return set().union(*levels)
+
+
+def naive_close(alg, seeds, width, guard=math.inf):
+    """Oracle for ``_close``: every round applies each operation to every
+    combination of the members so far, through ``Operation.__call__`` on
+    element names, and keeps the first term reaching each new vector."""
+    members = dict(seeds)
+    while True:
+        if len(members) > guard:
+            return members, False
+        new = {}
+        order = list(members)
+        for g in alg.ops:
+            for combo in itertools.product(order, repeat=len(g.rank)):
+                value = tuple(map(g, zip(*combo))) if combo else (g(()),) * width
+                if value not in members and value not in new:
+                    new[value] = ("op", g.symbol, tuple(members[v] for v in combo))
+        if not new:
+            return members, True
+        members.update(new)
+
+
+def closure_case(seed, shape):
+    """A random algebra and seed vectors for one of the three closures.
+
+    The algebra keeps ``random_algebra``'s binary and unary operations, may
+    gain a ternary one and has zero to two constants, in shuffled order.
+    ``shape`` picks the seeds: elements (width 1, as for generated
+    subuniverses), (U(x), M(x)) pairs (width 2, as for the generator) or the
+    projections over A^Y (width |A|^|Y|, as for elementary functions).
+    """
+    rng = random.Random(seed)
+    alg, frame = random_algebra(rng, max_size=3)
+    el = alg.carrier.elements
+    ops = [g for g in alg.ops if g.rank]
+    if rng.random() < 0.3:
+        ops.append(Operation("t", ("a", "b", "c"), table={
+            args: rng.choice(el) for args in itertools.product(el, repeat=3)}))
+    ops += [Operation(f"c{i}", (), table={(): rng.choice(el)})
+            for i in range(rng.randint(0, 2))]
+    rng.shuffle(ops)
+    alg = Algebra("varied", alg.carrier, tuple(ops))
+    seeds = {}
+    if shape == "elements":
+        for i in range(rng.randint(0, 2)):
+            seeds.setdefault((rng.choice(el),), ("proj", f"x{i}"))
+        return alg, seeds, 1
+    if shape == "pairs":
+        for x in frame.X:
+            seeds.setdefault((frame.U[x], rng.choice(el)), ("proj", x))
+        return alg, seeds, 2
+    Y = ("p", "q")[: rng.randint(1, 2)]
+    assigns = list(alg.carrier.assignments(Y))
+    for pos, x in enumerate(Y):
+        seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
+    return alg, seeds, len(assigns)
+
+
+def term_depth(term):
+    return 0 if term[0] == "proj" else 1 + max(map(term_depth, term[2]), default=0)
+
+
+class CountingTable(list):
+    """A Horner table that adds its lookups, also those through its slices,
+    to ``count[0]``."""
+
+    def __init__(self, values, count):
+        super().__init__(values)
+        self.count = count
+
+    def __getitem__(self, code):
+        if isinstance(code, slice):
+            return CountingTable(super().__getitem__(code), self.count)
+        self.count[0] += 1
+        return super().__getitem__(code)
+
+
+SHAPES = st.sampled_from(["elements", "pairs", "functions"])
+GUARDS = st.sampled_from([3, 7, 40, math.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_close_matches_naive_rounds(seed, shape, guard):
+    """Same members in the same order, the same witnesses and the same
+    ``complete`` flag as the naive rounds, including guards that stop the
+    closure part-way."""
+    assume(shape != "functions" or guard < math.inf)
+    alg, seeds, width = closure_case(seed, shape)
+    members, complete = _close(alg, seeds, width, guard)
+    expected, expected_complete = naive_close(alg, seeds, width, guard)
+    assert list(members.items()) == list(expected.items())
+    assert complete == expected_complete
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_close_evaluates_only_new_combinations(seed, shape, guard):
+    """Each round looks up exactly the combinations that touch the previous
+    round's new members: width lookups for each such combination of a
+    non-nullary operation, and one per nullary operation in the first round."""
+    assume(shape != "functions" or guard < math.inf)
+    alg, seeds, width = closure_case(seed, shape)
+    idx = alg.carrier.index
+    count = [0]
+    ops = [(symbol, k, CountingTable(flat, count)) for symbol, k, flat in _horner_tables(alg)]
+    members, complete = _fixpoint(
+        len(alg.carrier), ops,
+        {tuple(idx[a] for a in v): term for v, term in seeds.items()}, width, guard)
+    # seeds have depth 0 and round r finds the members of depth r + 1, so the
+    # rounds run are one per depth found plus, when complete, the round that
+    # found nothing
+    depths = [term_depth(term) for term in members.values()]
+    rounds = max(depths, default=0) + complete
+    expected, start = 0, 0
+    for r in range(rounds):
+        end = sum(d <= r for d in depths)
+        for _symbol, k, _flat in ops:
+            expected += width * (end**k - start**k) if k else r == 0
+        start = end
+    assert count[0] == expected
 
 
 def test_semilattice_unary_closure(semilattice2):

@@ -15,7 +15,7 @@ import time
 
 from . import gallery
 from .commutativity import check_conjugate_commutation, check_closure_commutation, is_commutative
-from .core import AlgebraError, load_algebra
+from .core import AlgebraError, GuardExceeded, load_algebra
 from .dilatation import (
     analyze_dilatations,
     build_endowed_monoid,
@@ -27,6 +27,25 @@ from .gallery.semilattice import MAX_GROUND
 from .representation import build_representation, enumerate_endomorphisms, load_frame, verify_basis_equivalence
 
 
+class CarrierGuard(GuardExceeded):
+    """An algebra file's carrier is larger than --max-carrier."""
+
+
+def _check_flags(args) -> None:
+    """Reject flag values that would be clamped or make a check vacuous."""
+    for flag, least in (("samples", 1), ("max_carrier", 1), ("guard_tables", 0), ("Y", 0)):
+        value = getattr(args, flag, least)  # --Y exists for commutative only
+        if value < least:
+            raise AlgebraError(f"--{flag.replace('_', '-')} {value} is below {least}")
+
+
+def _load_algebra(args):
+    alg = load_algebra(args.algebra)
+    if len(alg.carrier) > args.max_carrier:
+        raise CarrierGuard(f"carrier size {len(alg.carrier)} over --max-carrier")
+    return alg
+
+
 def _medial_as_dict(r):
     out = {"pair": list(r.pair), "holds": r.holds, "mode": r.mode}
     if r.witness is not None:
@@ -36,10 +55,7 @@ def _medial_as_dict(r):
 
 
 def cmd_endos(args) -> dict:
-    alg = load_algebra(args.algebra)
-    if len(alg.carrier) > args.max_carrier:
-        return {"status": "guard-exceeded",
-                "reason": f"carrier size {len(alg.carrier)} over --max-carrier"}
+    alg = _load_algebra(args)
     endos = enumerate_endomorphisms(alg, method=args.method)
     report = {"status": "pass", "count": len(endos), "method": args.method}
     if args.list:
@@ -48,7 +64,7 @@ def cmd_endos(args) -> dict:
 
 
 def cmd_basis(args) -> dict:
-    alg = load_algebra(args.algebra)
+    alg = _load_algebra(args)
     frame = load_frame(args.frame)
     rep = build_representation(alg, frame)
     check = verify_basis_equivalence(alg, frame, rep=rep, samples=args.samples,
@@ -66,7 +82,7 @@ def cmd_basis(args) -> dict:
 
 
 def cmd_dilatations(args) -> dict:
-    alg = load_algebra(args.algebra)
+    alg = _load_algebra(args)
     frame = load_frame(args.frame)
     rep = build_representation(alg, frame)
     if not rep.bijective:
@@ -99,7 +115,7 @@ def cmd_dilatations(args) -> dict:
 
 
 def cmd_commutative(args) -> dict:
-    alg = load_algebra(args.algebra)
+    alg = _load_algebra(args)
     frame = load_frame(args.frame) if args.frame else None
     commutative, reports = is_commutative(alg, samples=args.samples, seed=args.seed)
     report = {
@@ -236,7 +252,10 @@ def run(argv=None) -> tuple[dict, int]:
 def execute(args) -> tuple[dict, int]:
     started = time.perf_counter()
     try:
+        _check_flags(args)
         body = args.run(args)
+    except CarrierGuard as exc:
+        body = {"status": "guard-exceeded", "reason": str(exc)}
     except AlgebraError as exc:
         body = {"status": "fail", "error": str(exc)}
     body = {

@@ -6,63 +6,23 @@ counterpart, and ``set_ary_compose`` composes an outer operation with an
 indexing of inner function tables.  The missing context the symbols carry
 implicitly (which carrier, which index sets) is always an explicit argument
 here; in particular an empty outer index set never infers the inner one.
+The tables themselves (``FunctionTable``, ``tabulate``) live in ``core``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
-
-from .core import AlgebraError, Carrier, Operation, Rank, UnaryMap
+from .core import AlgebraError, Carrier, FunctionTable, Rank, tabulate
 
 
-@dataclass(frozen=True)
-class FunctionTable:
-    """A total function A^Y -> A, tabulated over a finite carrier."""
-
-    carrier: Carrier = field(compare=False)
-    arity: Rank
-    table: dict[tuple, str] = field(compare=False)
-
-    def __call__(self, args: tuple) -> str:
-        if len(args) != len(self.arity):
-            raise AlgebraError(f"expected {len(self.arity)} arguments, got {len(args)}")
-        return self.table[tuple(args)]
-
-    def key(self) -> tuple:
-        """Canonical value vector; two tables are equal iff their keys are."""
-        return (self.arity, tuple(self.table[args] for args in self.carrier.assignments(self.arity)))
-
-    def __eq__(self, other):
-        return isinstance(other, FunctionTable) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def equalize(self) -> UnaryMap:
-        """Feed every argument slot the same element (compose with k)."""
-        if not self.arity:
-            raise AlgebraError("cannot equalize a nullary table")
-        n = len(self.arity)
-        return UnaryMap(self.carrier, tuple(self((a,) * n) for a in self.carrier.elements))
-
-
-def tabulate(carrier: Carrier, arity: Rank, fn) -> FunctionTable:
-    return FunctionTable(
-        carrier, arity, {args: fn(args) for args in carrier.assignments(arity)}
-    )
-
-
-def constant_fn(carrier: Carrier, a: str, arity: Rank) -> FunctionTable:
+def constant_fn(carrier: Carrier, a: str, rank: Rank) -> FunctionTable:
     if a not in carrier:
         raise AlgebraError(f"constant value outside carrier: {a}")
-    return tabulate(carrier, arity, lambda _args: a)
+    return tabulate(carrier, rank, lambda _args: a)
 
 
-def projection(carrier: Carrier, arity: Rank, x: str) -> FunctionTable:
-    pos = arity.index(x)
-    return tabulate(carrier, arity, lambda args: args[pos])
+def projection(carrier: Carrier, rank: Rank, x: str) -> FunctionTable:
+    pos = rank.index(x)
+    return tabulate(carrier, rank, lambda args: args[pos])
 
 
 def exchange(m: dict, inner_labels=None) -> dict:
@@ -82,34 +42,19 @@ def exchange(m: dict, inner_labels=None) -> dict:
     return {j: {i: m[i][j] for i in m} for j in inner_sets[0]}
 
 
-def set_ary_compose(g, G: dict[str, FunctionTable], carrier: Carrier, arity: Rank) -> FunctionTable:
-    """Compose an outer operation g of rank S with an indexing G: S -> tables.
+def set_ary_compose(g, G: dict[str, FunctionTable], carrier: Carrier, rank: Rank) -> FunctionTable:
+    """Compose an outer operation or table g with an indexing G: g.rank -> tables.
 
-    All inner tables must share ``arity``; the result sends M to
+    All inner tables must share ``rank``; the result sends M to
     g(s -> G_s(M)).  A nullary g collapses to the constant table at g's value.
     """
-    g_rank = g.rank if isinstance(g, Operation) else g.arity
-    if set(G) != set(g_rank):
+    if set(G) != set(g.rank):
         raise AlgebraError("indexing does not match the outer rank")
     for s, t in G.items():
-        if t.arity != arity:
-            raise AlgebraError(f"inner table at {s} has arity {t.arity}, expected {arity}")
-    order = tuple(g_rank)
+        if t.rank != rank:
+            raise AlgebraError(f"inner table at {s} has rank {t.rank}, expected {rank}")
 
     def value(args):
-        return g(tuple(G[s](args) for s in order))
+        return g(tuple(G[s](args) for s in g.rank))
 
-    return tabulate(carrier, arity, value)
-
-
-def all_function_tables(carrier: Carrier, arity: Rank):
-    """Every total function A^Y -> A, in canonical order.  Guard sizes upstream."""
-    assigns = list(carrier.assignments(arity))
-    for values in itertools.product(carrier.elements, repeat=len(assigns)):
-        yield FunctionTable(carrier, arity, dict(zip(assigns, values)))
-
-
-def operation_as_table(carrier: Carrier, f: Operation) -> FunctionTable:
-    if not f.is_tabulated:
-        raise AlgebraError(f"operation {f.symbol} is rule-based")
-    return FunctionTable(carrier, f.rank, dict(f.table))
+    return tabulate(carrier, rank, value)

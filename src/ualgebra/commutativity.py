@@ -2,30 +2,23 @@
 
 Two operations f: A^R -> A and g: A^S -> A commute when
 f(g . m) = g(f . c_m) for every m: R -> A^S.  Tabulated pairs are checked
-exhaustively in canonical order (first counterexample wins, so witnesses are
-reproducible); rule-based pairs fall back to seeded randomized sampling.
+exhaustively over Horner codes in canonical order (first counterexample wins,
+so witnesses are reproducible); rule-based pairs fall back to seeded
+randomized sampling.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
-from .combinator import FunctionTable
-from .core import Algebra, GuardExceeded, Operation
+from .core import Algebra, GuardExceeded, tabulate
 from .elementary import DEFAULT_GUARD, elementary_closure
 from .representation import Representation
 
 PAIR_GUARD = 2_000_000
-
-
-def _rank_of(op):
-    return op.rank if isinstance(op, Operation) else op.arity
-
-
-def _name_of(op):
-    return op.symbol if isinstance(op, Operation) else "<table>"
 
 
 @dataclass(frozen=True)
@@ -38,30 +31,60 @@ class MedialReport:
 
 def medial_check(f, g, m_rows) -> tuple | None:
     """Evaluate both sides of the medial law at one m (rows ordered by f's rank)."""
-    R = _rank_of(f)
-    S = _rank_of(g)
     lhs = f(tuple(g(row) for row in m_rows))
-    rhs = g(tuple(f(tuple(row[j] for row in m_rows)) for j in range(len(S))))
+    rhs = g(tuple(f(tuple(row[j] for row in m_rows)) for j in range(len(g.rank))))
     if lhs != rhs:
         return (m_rows, lhs, rhs)
     return None
 
 
+def _medial_defect(F: list[int], G: list[int], n: int, r: int, s: int) -> tuple | None:
+    """The first m (r rows of s carrier indices) in canonical order with
+    f(g . m) != g(f . c_m), as (m, lhs, rhs), for the Horner codes F of f and G
+    of g over n elements.  The last row runs fastest, so the loop runs over
+    the other rows, by their Horner codes, and evaluates every last row at once.
+    """
+    if not r:  # m is empty: f() against g(f(), ..., f())
+        rhs = G[F[0] * sum(n**j for j in range(s))]
+        return None if F[0] == rhs else ((), F[0], rhs)
+    rows = list(itertools.product(range(n), repeat=s))  # a row's entries by its code
+    columns = list(zip(*rows))
+    for head in itertools.product(range(len(rows)), repeat=r - 1):
+        # Horner prefixes over the head rows: of g . m, and of each column of m
+        top, prefixes = 0, [0] * s
+        for c in head:
+            top = top * n + G[c]
+            prefixes = [p * n + a for p, a in zip(prefixes, rows[c])]
+        lhs = list(map(F[top * n:top * n + n].__getitem__, G))
+        codes = [0] * len(rows)  # of g's arguments f . c_m, a column at a time
+        for p, column in zip(prefixes, columns):
+            values = map(F[p * n:p * n + n].__getitem__, column)
+            codes = map(operator.add, map(n.__mul__, codes), values)
+        rhs = list(map(G.__getitem__, codes))
+        if lhs != rhs:
+            last = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return tuple(rows[c] for c in (*head, last)), lhs[last], rhs[last]
+    return None
+
+
 def ops_commute(f, g, carrier=None, sampler=None, samples: int = 1000,
                 seed: int = 0, guard: int = PAIR_GUARD) -> MedialReport:
-    R = _rank_of(f)
-    S = _rank_of(g)
-    name = (_name_of(f), _name_of(g))
+    """The medial law for f and g, each an ``Operation`` or a ``FunctionTable``."""
+    R, S = f.rank, g.rank
+    name = (getattr(f, "symbol", "<table>"), getattr(g, "symbol", "<table>"))
     if carrier is not None:
         total = len(carrier) ** (len(R) * len(S))
         if total > guard:
             raise GuardExceeded(f"medial check for {name} needs {total} cases")
-        for m_rows in itertools.product(
-                itertools.product(carrier.elements, repeat=len(S)), repeat=len(R)):
-            bad = medial_check(f, g, m_rows)
-            if bad is not None:
-                return MedialReport(name, False, "exhaustive", bad)
-        return MedialReport(name, True, "exhaustive")
+        # codes as lists: a list's bound __getitem__ maps faster than a tuple's
+        bad = _medial_defect(list(tabulate(carrier, R, f).codes),
+                             list(tabulate(carrier, S, g).codes), len(carrier), len(R), len(S))
+        if bad is None:
+            return MedialReport(name, True, "exhaustive")
+        m, lhs, rhs = bad
+        names = carrier.elements
+        m_rows = tuple(tuple(names[a] for a in row) for row in m)
+        return MedialReport(name, False, "exhaustive", (m_rows, names[lhs], names[rhs]))
 
     rng = random.Random(seed)
     mode = f"sampled:{samples}:seed={seed}"

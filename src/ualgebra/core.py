@@ -4,6 +4,8 @@ Operations are indexed by a rank: an ordered tuple of distinct labels.  An
 argument tuple is always ordered by the rank labels, so a tabulated body is a
 dict from element tuples to elements.  Rule-based bodies exist only for the
 gallery's infinite carriers; they refuse exhaustive enumeration.
+Every tabulated function, whether an operation (``Algebra.tables``), a
+closure member or a conjugate, is a ``FunctionTable`` of Horner codes.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
 
@@ -129,6 +132,42 @@ def constant_map(carrier: Carrier, value: str) -> UnaryMap:
 
 
 @dataclass(frozen=True)
+class FunctionTable:
+    """A total function A^rank -> A: ``codes[c]`` is the carrier index of its
+    value at the arguments whose indices have Horner code c (the layout of
+    UACalc's operation tables), so the codes follow ``assignments`` order."""
+
+    carrier: Carrier = field(compare=False, repr=False)
+    rank: Rank
+    codes: tuple[int, ...]
+
+    def __call__(self, args: tuple) -> str:
+        if len(args) != len(self.rank):
+            raise AlgebraError(f"expected {len(self.rank)} arguments, got {len(args)}")
+        code = 0
+        for a in args:
+            code = code * len(self.carrier) + self.carrier.index[a]
+        return self.carrier.elements[self.codes[code]]
+
+    def key(self) -> tuple:
+        return (self.rank, self.codes)  # what equality and hashing compare
+
+    def equalize(self) -> UnaryMap:
+        """Feed every argument slot the same element (compose with k)."""
+        if not self.rank:
+            raise AlgebraError("cannot equalize a nullary table")
+        n = len(self.carrier)
+        step = sum(n**i for i in range(len(self.rank)))  # the code of (1, ..., 1)
+        return UnaryMap(self.carrier, tuple(self.carrier.elements[self.codes[a * step]]
+                                            for a in range(n)))
+
+
+def tabulate(carrier: Carrier, rank: Rank, fn) -> FunctionTable:
+    idx = carrier.index
+    return FunctionTable(carrier, rank, tuple(idx[fn(args)] for args in carrier.assignments(rank)))
+
+
+@dataclass(frozen=True)
 class Algebra:
     """A carrier plus a non-empty indexed family of operations.
 
@@ -150,6 +189,13 @@ class Algebra:
             raise AlgebraError(f"duplicate operation symbols: {symbols}")
         if self.carrier is None and self.sampler is None:
             raise AlgebraError("rule-based algebra needs a sampler")
+
+    @cached_property
+    def tables(self) -> tuple[FunctionTable, ...]:
+        """Each operation's table, in ``ops`` order, built once per algebra."""
+        if not self.is_tabulated:
+            raise AlgebraError(f"{self.name} is rule-based and has no operation tables")
+        return tuple(tabulate(self.carrier, f.rank, f) for f in self.ops)
 
     @property
     def is_tabulated(self) -> bool:

@@ -13,8 +13,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .combinator import FunctionTable, projection, set_ary_compose
-from .core import Algebra, AlgebraError, Rank, UnaryMap
+from .combinator import projection, set_ary_compose
+from .core import Algebra, AlgebraError, FunctionTable, Rank, UnaryMap
 
 DEFAULT_GUARD = 10_000
 
@@ -25,9 +25,6 @@ Term = tuple
 class ElementaryFunction:
     table: FunctionTable
     witness: Term
-
-    def __call__(self, args: tuple) -> str:
-        return self.table(args)
 
 
 @dataclass(frozen=True)
@@ -50,19 +47,10 @@ def term_table(alg: Algebra, term: Term, arity: Rank) -> FunctionTable:
     return set_ary_compose(g, G, alg.carrier, arity)
 
 
-def _require_tabulated(alg: Algebra) -> None:
-    if not alg.is_tabulated:
-        raise AlgebraError("elementary closure needs a fully tabulated algebra")
-
-
 def _horner_tables(alg: Algebra) -> list[tuple[str, int, list[int]]]:
-    """Each operation as (symbol, arity, values), the values as carrier
-    indices listed by the Horner code of the argument indices."""
-    idx = alg.carrier.index
-    # canonical row order is Horner order
-    return [(g.symbol, len(g.rank),
-             [idx[g.table[args]] for args in alg.carrier.assignments(g.rank)])
-            for g in alg.ops]
+    """Each operation as (symbol, arity, Horner codes), read off ``alg.tables``;
+    the codes as a list, whose bound ``__getitem__`` maps faster than a tuple's."""
+    return [(g.symbol, len(t.rank), list(t.codes)) for g, t in zip(alg.ops, alg.tables)]
 
 
 def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
@@ -126,11 +114,11 @@ def _close(alg: Algebra, seeds: dict[tuple, Term], width: int,
            guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
     """``_fixpoint`` over element names: the seed vectors and members are
     tuples of carrier elements, in the members' insertion order."""
+    ops = _horner_tables(alg)  # raises AlgebraError on a rule-based algebra
     idx = alg.carrier.index
     names = alg.carrier.elements
     members, complete = _fixpoint(
-        len(names), _horner_tables(alg),
-        {tuple(idx[a] for a in vector): term for vector, term in seeds.items()},
+        len(names), ops, {tuple(idx[a] for a in vector): term for vector, term in seeds.items()},
         width, guard)
     return {tuple(names[c] for c in vector): term for vector, term in members.items()}, complete
 
@@ -144,18 +132,17 @@ def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> Clo
     canonical order).  Exceeding the table-count guard aborts with the partial
     set flagged incomplete.
     """
-    _require_tabulated(alg)
+    ops = _horner_tables(alg)
     carrier = alg.carrier
-    assigns = list(carrier.assignments(Y))
+    n = len(carrier)
+    # a member's vector over A^Y in canonical order is its table's codes
+    assigns = list(itertools.product(range(n), repeat=len(Y)))
     seeds: dict[tuple, Term] = {}
-    for x in Y:
-        pos = Y.index(x)
+    for pos, x in enumerate(Y):
         seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
-    members, complete = _close(alg, seeds, len(assigns), guard)
-    functions = tuple(
-        ElementaryFunction(FunctionTable(carrier, Y, dict(zip(assigns, vector))), witness)
-        for vector, witness in members.items()
-    )
+    members, complete = _fixpoint(n, ops, seeds, len(assigns), guard)
+    functions = tuple(ElementaryFunction(FunctionTable(carrier, Y, vector), witness)
+                      for vector, witness in members.items())
     return ClosureResult(functions, complete)
 
 
@@ -176,7 +163,6 @@ def rankless(alg: Algebra, guard: int = DEFAULT_GUARD) -> set[UnaryMap]:
 
 def subuniverse_with_terms(alg: Algebra, seeds: dict[str, Term]) -> dict[str, Term]:
     """Subalgebra closure of seed elements, keeping one reaching term each."""
-    _require_tabulated(alg)
     members, _complete = _close(alg, {(a,): term for a, term in seeds.items()}, 1)
     return {a: term for (a,), term in members.items()}
 
@@ -217,7 +203,6 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
     the set of (l(U), l(M)) over elementary l, so independence is the absence
     of a fork and the generator property is first-coordinate totality.
     """
-    _require_tabulated(alg)
     X = frame.X
     carrier = alg.carrier
     reach = subuniverse_with_terms(alg, {frame.U[x]: ("proj", x) for x in X})
@@ -226,15 +211,15 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
                                missing=frozenset(set(carrier.elements) - set(reach)))
 
     n = len(carrier)
-    names = carrier.elements
     idx = carrier.index
     ops = _horner_tables(alg)
     U = [idx[frame.U[x]] for x in X]
-    chi_tables: dict[str, dict[tuple, str]] = {a: {} for a in names}
-    for M in carrier.assignments(X):
+    # chi_codes[a][c] is chi_a at the matrix M of Horner code c
+    chi_codes = [[0] * n ** len(X) for _ in range(n)]
+    for code, M in enumerate(itertools.product(range(n), repeat=len(X))):
         seeds: dict[tuple[int, int], Term] = {}
         for x, u, m in zip(X, U, M):
-            seeds.setdefault((u, idx[m]), ("proj", x))
+            seeds.setdefault((u, m), ("proj", x))
         pairs, _complete = _fixpoint(n, ops, seeds, 2)
         by_first: dict[int, tuple[int, Term]] = {}
         for (a, b), term in pairs.items():
@@ -244,10 +229,10 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
                 return GeneratorResult("not-independent", witness=(ell, ell2))
             by_first.setdefault(a, (b, term))
         for a, (b, _term) in by_first.items():
-            chi_tables[names[a]][M] = names[b]
+            chi_codes[a][code] = b
 
     chi = {
-        a: ElementaryFunction(FunctionTable(carrier, X, chi_tables[a]), reach[a])
-        for a in carrier.elements
+        a: ElementaryFunction(FunctionTable(carrier, X, tuple(codes)), reach[a])
+        for a, codes in zip(carrier.elements, chi_codes)
     }
     return GeneratorResult("ok", chi=chi)

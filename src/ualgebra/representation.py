@@ -11,9 +11,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .combinator import FunctionTable
-from .core import (Algebra, AlgebraError, GuardExceeded, Rank, UnaryMap, expect_json,
-                   expect_strings, make_rank, read_json)
+from .core import (Algebra, AlgebraError, FunctionTable, GuardExceeded, Rank, UnaryMap,
+                   expect_json, expect_strings, make_rank, read_json)
 from .elementary import elementary_generator
 
 BRUTE_CAP = 100_000
@@ -53,7 +52,8 @@ def load_frame(path) -> Frame:
 
 
 def _indexed_rows(alg: Algebra):
-    """Each tabulated op as (table over element indices, rows (args, result))."""
+    """Each tabulated op as a dict from argument indices to the result's index,
+    read from the name tables (the brute-force oracle's own layout)."""
     idx = alg.carrier.index
     out = []
     for g in alg.ops:
@@ -86,14 +86,13 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
 def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
     carrier = alg.carrier
     n = len(carrier)
-    # every row as (arguments, result, the table as a list by the Horner code
-    # of the arguments), watched by each element it mentions
+    # every row as (arguments, result, the operation's Horner codes), watched
+    # by each element it mentions
     watch: list[list] = [[] for _ in range(n)]
     nullary = []
-    for table in _indexed_rows(alg):
-        flat = [table[args] for args in sorted(table)]  # sorted is Horner order
-        for args, res in table.items():
-            row = (args, res, flat)
+    for table in alg.tables:
+        for args, res in zip(itertools.product(range(n), repeat=len(table.rank)), table.codes):
+            row = (args, res, table.codes)
             for e in {*args, res}:
                 watch[e].append(row)
             if not args:
@@ -203,11 +202,11 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
         return Representation(alg, frame, frozenset(endos), sampling,
                               failure={"reason": "not-surjective", "matrix": unhit[0]})
 
-    conjugates = {
-        a: FunctionTable(carrier, frame.X,
-                         {m: by_matrix[m](a) for m in carrier.assignments(frame.X)})
-        for a in carrier.elements
-    }
+    # chi_a(M) = h_M(a): column a of the extension's maps in canonical order of M
+    idx = carrier.index
+    images = [[idx[v] for v in by_matrix[m].values] for m in carrier.assignments(frame.X)]
+    conjugates = {a: FunctionTable(carrier, frame.X, codes)
+                  for a, codes in zip(carrier.elements, zip(*images))}
     return Representation(alg, frame, frozenset(endos), sampling, bijective=True,
                           extension=by_matrix, conjugates=conjugates)
 
@@ -221,15 +220,14 @@ def commutation_checker(rep: Representation):
     h(chi_a(M)) = chi_a(h . M), one M at a time.
     """
     carrier = rep.algebra.carrier
-    idx = carrier.index
     n = len(carrier)
     k = len(rep.frame.X)
     matrices = list(rep.matrices())
     # chi_.(M) for every M in canonical order, which is Horner-code order.
     # Each vector is a string of code points, so that str.translate applies h
     # and str.join gathers vectors element by element in C.
-    vectors = ["".join(chr(idx[rep.conjugates[a].table[m]]) for a in carrier.elements)
-               for m in matrices]
+    vectors = ["".join(map(chr, column)) for column in
+               zip(*(rep.conjugates[a].codes for a in carrier.elements))]
     chi = "".join(vectors)
 
     def defect(values: tuple[int, ...]) -> Matrix | None:

@@ -318,3 +318,37 @@ def _successor(**changes):
 def test_gallery_pert_bad_project_fails(tmp_path, doc, error):
     body = _run_with(tmp_path, doc, lambda p: ["gallery", "pert", p, "--forward"])
     assert body["error"] == error
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--samples", "-3", "basis", str(FIXTURES / "semilattice3.json"),
+      str(FIXTURES / "semilattice3_frame.json")], "--samples -3 is below 1"),
+    (["--max-carrier", "0", "basis", str(FIXTURES / "semilattice2.json"),
+      str(FIXTURES / "semilattice2_frame.json")], "--max-carrier 0 is below 1"),
+    (["commutative", str(FIXTURES / "semilattice2.json"), "--Y", "-1"], "--Y -1 is below 0"),
+    (["--guard-tables", "-1", "commutative", str(FIXTURES / "semilattice2.json")],
+     "--guard-tables -1 is below 0"),
+], ids=["samples", "max-carrier", "Y", "guard-tables"])
+def test_out_of_range_flag_fails(argv, error):
+    # each of these ran before, drawing no sample or clamping the value
+    out, code = run(argv)
+    assert code == 1
+    assert out["report"]["status"] == "fail"
+    assert out["report"]["error"] == error
+
+
+@pytest.mark.parametrize("command", [
+    ["basis", str(FIXTURES / "semilattice2.json"), str(FIXTURES / "semilattice2_frame.json")],
+    ["dilatations", str(FIXTURES / "semilattice2.json"),
+     str(FIXTURES / "semilattice2_frame.json")],
+    ["commutative", str(FIXTURES / "semilattice2.json")],
+], ids=["basis", "dilatations", "commutative"])
+def test_max_carrier_guards_every_algebra_command(command):
+    out, code = run(["--max-carrier", "2", *command])
+    endos, _ = run(["--max-carrier", "2", "endos", str(FIXTURES / "semilattice2.json")])
+    assert code == 1
+    body = out["report"]
+    assert body["status"] == "guard-exceeded"
+    assert {k: body[k] for k in ("status", "reason")} == \
+        {k: endos["report"][k] for k in ("status", "reason")}
+    assert set(body) == set(endos["report"])

@@ -20,7 +20,7 @@ def test_constant_table(semilattice2):
     alg, _frame = semilattice2
     k = constant_fn(alg.carrier, "{}", ("p", "q"))
     assert all(k(args) == "{}" for args in alg.carrier.assignments(("p", "q")))
-    assert len(k.table) == 16
+    assert len(k.codes) == 16
 
 
 def test_constant_nullary():

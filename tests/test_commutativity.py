@@ -1,7 +1,13 @@
+import itertools
 import random
 
-from ualgebra.combinator import FunctionTable, constant_fn, projection, set_ary_compose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_algebra
+from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.commutativity import (
+    MedialReport,
     check_conjugate_commutation,
     check_closure_commutation,
     is_commutative,
@@ -12,6 +18,38 @@ from ualgebra.core import Algebra, Carrier, Operation
 from ualgebra.elementary import elementary_closure
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import build_representation
+
+
+def naive_ops_commute(f, g, carrier):
+    """Oracle for ``ops_commute`` on a finite carrier: every m in canonical
+    order, one at a time, through ``medial_check`` on element names."""
+    name = (getattr(f, "symbol", "<table>"), getattr(g, "symbol", "<table>"))
+    for m_rows in itertools.product(
+            itertools.product(carrier.elements, repeat=len(g.rank)), repeat=len(f.rank)):
+        bad = medial_check(f, g, m_rows)
+        if bad is not None:
+            return MedialReport(name, False, "exhaustive", bad)
+    return MedialReport(name, True, "exhaustive")
+
+
+def medial_pool(seed):
+    """Operations of ranks 0 to 3 over a random carrier, and tables of mixed
+    ranks: closure members over one and two slots, a ternary projection and a
+    nullary constant."""
+    rng = random.Random(seed)
+    alg, _frame = random_algebra(rng, max_size=3)
+    el = alg.carrier.elements
+    ops = list(alg.ops)
+    ops.append(Operation("t", ("a", "b", "c"), table={
+        args: rng.choice(el) for args in itertools.product(el, repeat=3)}))
+    if all(g.rank for g in ops):
+        ops.append(Operation("c", (), table={(): rng.choice(el)}))
+    alg = Algebra("varied", alg.carrier, tuple(ops))
+    tables = [ef.table for Y in (("p",), ("p", "q"))
+              for ef in elementary_closure(alg, Y, guard=8).functions]
+    tables += [projection(alg.carrier, ("x", "y", "z"), rng.choice("xyz")),
+               constant_fn(alg.carrier, rng.choice(el), ())]
+    return alg.carrier, ops, tables, rng
 
 
 def test_semilattice_is_commutative(semilattice2):
@@ -59,8 +97,8 @@ def test_nullary_constant_commutes_iff_fixed_point():
     # with a nullary f the law collapses to a = g(a, ..., a)
     carrier = Carrier(("a", "b"))
     u = Operation("u", ("p",), table={("a",): "a", ("b",): "a"})
-    k_fixed = FunctionTable(carrier, (), {(): "a"})
-    k_moved = FunctionTable(carrier, (), {(): "b"})
+    k_fixed = constant_fn(carrier, "a", ())
+    k_moved = constant_fn(carrier, "b", ())
     assert ops_commute(k_fixed, u, carrier=carrier).holds
     assert ops_commute(u, k_fixed, carrier=carrier).holds
     assert not ops_commute(k_moved, u, carrier=carrier).holds
@@ -126,3 +164,18 @@ def test_sampled_rule_based_commutativity():
     ok, reports = is_commutative(alg, samples=200, seed=1)
     assert ok
     assert all(r.mode.startswith("sampled") for r in reports)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_coded_check_matches_element_oracle(seed):
+    """Same holds, mode, pair and first witness as the element-at-a-time loop,
+    for operation/operation, table/table and mixed pairs in both orders."""
+    carrier, ops, tables, rng = medial_pool(seed)
+    pairs = [(f, g) for f in ops for g in ops]
+    pairs += [rng.choice(((f, g), (g, f))) for f in ops for g in rng.sample(tables, 2)]
+    pairs += [(rng.choice(tables), rng.choice(tables)) for _ in range(4)]
+    for f, g in pairs:
+        if len(carrier) ** (len(f.rank) * len(g.rank)) > 3**6:
+            continue  # ternary against ternary on three elements: 19683 cases
+        assert ops_commute(f, g, carrier=carrier) == naive_ops_commute(f, g, carrier)

@@ -1,7 +1,11 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_algebra
 from ualgebra.core import (
     Algebra,
     AlgebraError,
@@ -102,3 +106,66 @@ def test_roundtrip(tmp_path, semilattice2):
 def test_nullary_table_shape():
     op = Operation("c", (), table={(): "a"})
     assert op(()) == "a"
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+NON_STRINGS = st.none() | st.booleans() | st.integers() | st.lists(st.text(max_size=2), max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_document_roundtrip(seed):
+    alg, _frame = random_algebra(random.Random(seed), max_size=5)
+    back = algebra_from_dict(algebra_to_dict(alg))
+    assert back.carrier.elements == alg.carrier.elements
+    assert [(f.symbol, f.rank, f.table) for f in back.ops] == \
+        [(f.symbol, f.rank, f.table) for f in alg.ops]
+    assert back.tables == alg.tables
+    for f, table in zip(back.ops, back.tables):
+        assert all(table(args) == f(args) for args in back.carrier.assignments(f.rank))
+
+
+def _some_row(doc, draw):
+    od = draw(st.sampled_from(doc["operations"]))
+    return od, draw(st.sampled_from(od["table"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, kind=st.sampled_from(
+    ["drop row", "change value", "duplicate symbol", "non-string element", "top-level shape"]),
+    data=st.data())
+def test_mutated_documents_load_or_fail(seed, kind, data):
+    """A mutated document either loads as a valid algebra or raises
+    AlgebraError; the mutations that break the format always raise."""
+    alg, _frame = random_algebra(random.Random(seed), max_size=4)
+    doc = algebra_to_dict(alg)
+    draw = data.draw
+    if kind == "drop row":
+        od, row = _some_row(doc, draw)
+        od["table"].remove(row)
+    elif kind == "change value":
+        _od, row = _some_row(doc, draw)
+        row["value"] = draw(st.sampled_from(doc["elements"]) | st.text(max_size=3) | NON_STRINGS)
+    elif kind == "duplicate symbol":
+        doc["operations"].append(dict(draw(st.sampled_from(doc["operations"]))))
+    elif kind == "non-string element":
+        where = draw(st.sampled_from(["elements", "args"]))
+        target = doc["elements"] if where == "elements" else _some_row(doc, draw)[1]["args"]
+        if not target:  # a nullary row has no arguments
+            target = doc["elements"]
+        target[draw(st.integers(0, len(target) - 1))] = draw(NON_STRINGS)
+    else:
+        doc = draw(st.sampled_from([
+            [doc], doc["operations"], json.dumps(doc), None,
+            {**doc, "operations": {"f": doc["operations"]}},
+            {**doc, "elements": " ".join(doc["elements"])},
+            {"algebra": doc},
+        ]))
+    try:
+        back = algebra_from_dict(doc)
+    except AlgebraError:
+        return
+    assert kind == "change value", f"{kind} loaded"
+    assert [f.symbol for f in back.ops] == [f.symbol for f in alg.ops]
+    for f, table in zip(back.ops, back.tables):
+        assert all(table(args) == f(args) for args in back.carrier.assignments(f.rank))

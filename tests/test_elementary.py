@@ -39,8 +39,8 @@ def brute_closure_tables(alg, Y, max_depth=4):
                     args: g(tuple(t(args) for t in combo))
                     for args in alg.carrier.assignments(Y)
                 }
-                from ualgebra.combinator import FunctionTable
-                nxt.add(FunctionTable(alg.carrier, Y, table))
+                from ualgebra.combinator import tabulate
+                nxt.add(tabulate(alg.carrier, Y, table.__getitem__))
         levels.append(nxt)
     return set().union(*levels)
 

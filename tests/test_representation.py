@@ -157,7 +157,7 @@ def test_empty_frame_on_singleton(trivial):
     alg, frame = trivial
     rep = build_representation(alg, frame)
     assert rep.bijective
-    assert rep.conjugates["e"].table == {(): "e"}
+    assert rep.conjugates["e"].codes == (0,)
 
 
 def test_empty_frame_on_nontrivial(semilattice2):

@@ -14,7 +14,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .core import Algebra, GuardExceeded, tabulate
+from .core import Algebra, FunctionTable, GuardExceeded, tabulate
 from .elementary import DEFAULT_GUARD, elementary_closure
 from .representation import Representation
 
@@ -67,6 +67,13 @@ def _medial_defect(F: list[int], G: list[int], n: int, r: int, s: int) -> tuple 
     return None
 
 
+def _codes(f, carrier) -> list[int]:
+    """The Horner codes of an ``Operation`` or ``FunctionTable``, as a list: a
+    list's bound __getitem__ maps faster than a tuple's."""
+    table = f if isinstance(f, FunctionTable) else tabulate(carrier, f.rank, f)
+    return list(table.codes)
+
+
 def ops_commute(f, g, carrier=None, sampler=None, samples: int = 1000,
                 seed: int = 0, guard: int = PAIR_GUARD) -> MedialReport:
     """The medial law for f and g, each an ``Operation`` or a ``FunctionTable``."""
@@ -76,9 +83,7 @@ def ops_commute(f, g, carrier=None, sampler=None, samples: int = 1000,
         total = len(carrier) ** (len(R) * len(S))
         if total > guard:
             raise GuardExceeded(f"medial check for {name} needs {total} cases")
-        # codes as lists: a list's bound __getitem__ maps faster than a tuple's
-        bad = _medial_defect(list(tabulate(carrier, R, f).codes),
-                             list(tabulate(carrier, S, g).codes), len(carrier), len(R), len(S))
+        bad = _medial_defect(_codes(f, carrier), _codes(g, carrier), len(carrier), len(R), len(S))
         if bad is None:
             return MedialReport(name, True, "exhaustive")
         m, lhs, rhs = bad
@@ -116,10 +121,12 @@ def is_commutative(alg: Algebra, samples: int = 1000, seed: int = 0,
     return ok, reports
 
 
-def check_closure_commutation(alg: Algebra, Y, guard: int = DEFAULT_GUARD,
-                      samples: int = 1000, seed: int = 0) -> dict:
-    """All pairs of Y-ary elementary functions of a commutative algebra commute."""
-    commutative, _ = is_commutative(alg, samples=samples, seed=seed)
+def check_closure_commutation(alg: Algebra, Y, commutative: bool,
+                              guard: int = DEFAULT_GUARD) -> dict:
+    """All pairs of Y-ary elementary functions of a commutative algebra commute.
+
+    ``commutative`` is ``is_commutative``'s verdict on ``alg``, which the
+    caller has already computed."""
     if not commutative:
         return {"status": "skipped", "reason": "algebra is not commutative"}
     closure = elementary_closure(alg, tuple(Y), guard=guard)
@@ -135,7 +142,7 @@ def check_closure_commutation(alg: Algebra, Y, guard: int = DEFAULT_GUARD,
     # base case: fundamental ops against every projection
     projection_failures = []
     proj = [ef.table for ef in closure.functions if ef.witness[0] == "proj"]
-    for f in alg.ops:
+    for f in alg.tables:
         for p in proj:
             rep = ops_commute(f, p, carrier=alg.carrier)
             if not rep.holds:

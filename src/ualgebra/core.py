@@ -297,12 +297,15 @@ def algebra_to_dict(alg: Algebra) -> dict:
 
 
 def read_json(path):
-    """Parse a JSON file; contents that are not JSON raise AlgebraError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Parse a JSON file; a file that cannot be read, or is not JSON, raises
+    AlgebraError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
-            raise AlgebraError(f"{path} is not a JSON document: {exc}") from None
+    except OSError as exc:
+        raise AlgebraError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise AlgebraError(f"{path} is not a JSON document: {exc}") from None
 
 
 def load_algebra(path) -> Algebra:

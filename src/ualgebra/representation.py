@@ -8,8 +8,10 @@ and tabulate the conjugate function of every element.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (Algebra, AlgebraError, FunctionTable, GuardExceeded, Rank, UnaryMap,
                    expect_json, expect_strings, make_rank, read_json)
@@ -83,62 +85,135 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
     return out
 
 
+def _unit_masks(codes, n: int, rank: int, positions: tuple[int, ...],
+                result_is_e: bool) -> list[int]:
+    """For a row in which e fills ``positions`` among the arguments, and the
+    result too when ``result_is_e``: the bitmask of the values of h(e) that
+    satisfy it, indexed by the Horner code of the other arguments' values,
+    followed by the result's value when the result is not e."""
+    # the Horner code of the arguments is base + v * step, where base holds
+    # the other arguments' values and step the place values of e's positions
+    step = sum(n ** (rank - 1 - i) for i in positions)
+    places = [n ** (rank - 1 - i) for i in range(rank) if i not in positions]
+    masks = [0] * n ** (len(places) + (not result_is_e))
+    for key, rest in enumerate(itertools.product(range(n), repeat=len(places))):
+        base = sum(map(operator.mul, rest, places))
+        for v in range(n):
+            value = codes[base + v * step]
+            if not result_is_e:
+                masks[key * n + value] |= 1 << v
+            elif value == v:
+                masks[key] |= 1 << v
+    return masks
+
+
+class _Level(NamedTuple):
+    """One depth of the search plan: branch on h(element), then run ``steps``."""
+
+    element: int
+    mask: int  # the values of h(element) allowed by rows that mention no other element
+    units: tuple  # (other elements, the allowed values per Horner code of theirs)
+    steps: tuple  # (args, res, codes, set): h[res] is set to, or checked against, codes[h . args]
+    unit_rows: tuple  # (table index, args) of every row folded into mask and units
+
+
+def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
+    """The endomorphism search of ``alg`` as the seed's steps and one level per
+    branched element.
+
+    Which elements propagation assigns depends only on which were branched
+    on, not on their values: it is the subuniverse they generate with the
+    constants.  So with a fixed branching order (the lowest unassigned
+    element), every branch at a depth evaluates the same rows, and those rows
+    are compiled here once: forward checking under a static variable order
+    (Haralick & Elliott 1980).
+    """
+    n = len(alg.carrier)
+    tables = alg.tables
+    # every row as (table index, args, res, the set of its arguments)
+    pending = [(t, args, res, frozenset(args)) for t, table in enumerate(tables)
+               for args, res in zip(itertools.product(range(n), repeat=len(table.rank)),
+                                    table.codes)]
+    assigned: set[int] = set()
+
+    def derive() -> tuple:
+        # the rows whose arguments become assigned, in derivation order
+        nonlocal pending
+        steps = []
+        while ready := [row for row in pending if row[3] <= assigned]:
+            pending = [row for row in pending if not row[3] <= assigned]
+            for t, args, res, _ in ready:
+                steps.append((args, res, tables[t].codes, res not in assigned))
+                assigned.add(res)
+        return tuple(steps)
+
+    seed = derive()
+    cache: dict[tuple, list[int]] = {}  # (table, positions of e, result is e) -> masks
+    levels = []
+    while len(assigned) < n:
+        e = min(set(range(n)) - assigned)
+        assigned.add(e)
+        # the rows that mention e and otherwise only elements assigned before
+        unit_rows = [row for row in pending if row[3] <= assigned and row[2] in assigned]
+        pending = [row for row in pending if not (row[3] <= assigned and row[2] in assigned)]
+        grouped: dict[tuple, list[int]] = {}  # other elements -> their rows' masks, ANDed
+        for t, args, res, _ in unit_rows:
+            key = (t, tuple(i for i, a in enumerate(args) if a == e), res == e)
+            if key not in cache:
+                cache[key] = _unit_masks(tables[t].codes, n, len(args), *key[1:])
+            others = tuple(a for a in args if a != e) + ((res,) if res != e else ())
+            prior = grouped.get(others, cache[key])
+            grouped[others] = [a & b for a, b in zip(prior, cache[key])]
+        mask = grouped.pop((), [(1 << n) - 1])[0]
+        levels.append(_Level(e, mask, tuple(grouped.items()), derive(),
+                             tuple((t, args) for t, args, *_ in unit_rows)))
+    return seed, tuple(levels)
+
+
+def _run(steps, h: list, n: int) -> bool:
+    """Run plan steps on h; False when a check fails."""
+    for args, res, codes, is_set in steps:
+        code = 0
+        for a in args:
+            code = code * n + h[a]
+        if is_set:
+            h[res] = codes[code]
+        elif h[res] != codes[code]:
+            return False
+    return True
+
+
 def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
+    """Depth-first search over the compiled plan: at each depth, try the values
+    of h(element) that every unit mask allows, then run the level's steps."""
     carrier = alg.carrier
     n = len(carrier)
-    # every row as (arguments, result, the operation's Horner codes), watched
-    # by each element it mentions
-    watch: list[list] = [[] for _ in range(n)]
-    nullary = []
-    for table in alg.tables:
-        for args, res in zip(itertools.product(range(n), repeat=len(table.rank)), table.codes):
-            row = (args, res, table.codes)
-            for e in {*args, res}:
-                watch[e].append(row)
-            if not args:
-                nullary.append(res)
-
-    def assign(h: list, e: int, v: int) -> bool:
-        # set h(e) = v and derive h(f(args)) = f(h . args) for every row
-        # whose arguments become all assigned; False on a contradiction
-        if h[e] is not None:
-            return h[e] == v
-        h[e] = v
-        queue = [e]
-        while queue:
-            for args, res, flat in watch[queue.pop()]:
-                code = 0
-                for a in args:
-                    img = h[a]
-                    if img is None:
-                        break
-                    code = code * n + img
-                else:
-                    forced = flat[code]
-                    if h[res] is None:
-                        h[res] = forced
-                        queue.append(res)
-                    elif h[res] != forced:
-                        return False
-        return True
-
+    seed, levels = _compile_plan(alg)
+    names = carrier.elements.__getitem__
     out: set[UnaryMap] = set()
+    # the positions written at a depth are the same on every branch, so one
+    # list serves the whole search: nothing is copied or undone
+    h = [0] * n
 
-    def search(h: list, pos: int):
-        while pos < n and h[pos] is not None:
-            pos += 1
-        if pos == n:
-            out.add(UnaryMap(carrier, tuple(carrier.elements[v] for v in h)))
+    def search(depth: int):
+        if depth == len(levels):
+            out.add(UnaryMap(carrier, tuple(map(names, h))))
             return
-        for v in range(n):
-            trial = list(h)
-            if assign(trial, pos, v):
-                search(trial, pos + 1)
+        e, mask, units, steps, _ = levels[depth]
+        for others, masks in units:
+            code = 0
+            for o in others:
+                code = code * n + h[o]
+            mask &= masks[code]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            h[e] = low.bit_length() - 1
+            if _run(steps, h, n):
+                search(depth + 1)
 
-    # a nullary value c satisfies h(c) = c in every endomorphism
-    seed = [None] * n
-    if all(assign(seed, c, c) for c in nullary):
-        search(seed, 0)
+    _run(seed, h, n)  # h becomes the identity on the constants' subuniverse: no check fails
+    search(0)
     return out
 
 

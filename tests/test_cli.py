@@ -96,6 +96,46 @@ def test_commutative_semilattice_with_conjugates():
     assert body["conjugate_commutation"] == "pass"
 
 
+def test_commutative_closure_guard_is_not_a_pass():
+    out, code = run(["--guard-tables", "0", "commutative", str(FIXTURES / "semilattice2.json")])
+    assert code == 1
+    body = out["report"]
+    assert body["closure_commutation"]["status"] == "guard-exceeded"
+    assert body["status"] == "guard-exceeded"
+
+
+def _count_calls(monkeypatch, module, name, calls=None) -> list:
+    """Wrap ``module.name`` so each call is appended to ``calls``."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_commutative_checks_the_medial_law_once(monkeypatch):
+    import ualgebra.cli
+    import ualgebra.commutativity
+    calls = _count_calls(monkeypatch, ualgebra.cli, "is_commutative")
+    _count_calls(monkeypatch, ualgebra.commutativity, "is_commutative", calls)
+    out, code = run(["commutative", str(FIXTURES / "semilattice2.json")])
+    assert code == 0 and out["report"]["closure_commutation"]["status"] == "pass"
+    assert len(calls) == 1
+
+
+def test_commutative_tabulates_only_the_fundamental_operations(monkeypatch):
+    # closure members already hold their codes; only the operations of the
+    # medial pairs are tabulated, two per pair
+    import ualgebra.commutativity
+    calls = _count_calls(monkeypatch, ualgebra.commutativity, "tabulate")
+    out, code = run(["commutative", str(FIXTURES / "semilattice3.json"), "--Y", "2"])
+    assert code == 0 and out["report"]["closure_commutation"]["closure_size"] == 4
+    assert len(calls) == 2 * len(out["report"]["pairs"])
+
+
 def test_gallery_runs():
     for argv in (["gallery", "semilattice", "--size", "3"],
                  ["gallery", "boolean"],
@@ -150,8 +190,10 @@ def test_out_file_and_text_mode(tmp_path, capsys):
 
 
 def test_missing_file_errors():
-    with pytest.raises(FileNotFoundError):
-        run(["endos", "no-such-file.json"])
+    out, code = run(["endos", "no-such-file.json"])
+    assert code == 1
+    assert out["report"]["status"] == "fail"
+    assert "cannot read no-such-file.json" in out["report"]["error"]
 
 
 def test_duplicate_operation_symbol_fails(tmp_path):

@@ -129,17 +129,19 @@ def test_composition_preserves_commutation(semilattice2):
 
 def test_closure_pairs_commute(semilattice2):
     alg, _frame = semilattice2
-    one = check_closure_commutation(alg, ("p",))
+    commutative, _ = is_commutative(alg)
+    one = check_closure_commutation(alg, ("p",), commutative)
     assert one["status"] == "pass"
     assert one["closure_size"] == 2
-    two = check_closure_commutation(alg, ("p", "q"))
+    two = check_closure_commutation(alg, ("p", "q"), commutative)
     assert two["status"] == "pass"
     assert two["closure_size"] == 4
 
 
 def test_closure_check_skips_non_commutative(boolean):
     alg, _frame = boolean
-    assert check_closure_commutation(alg, ("p",))["status"] == "skipped"
+    commutative, _ = is_commutative(alg)
+    assert check_closure_commutation(alg, ("p",), commutative)["status"] == "skipped"
 
 
 def test_conjugates_commute(semilattice2):

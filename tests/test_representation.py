@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_algebra
@@ -11,6 +11,7 @@ from ualgebra.core import Algebra, AlgebraError, Carrier, Operation, UnaryMap
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import (
     Frame,
+    _compile_plan,
     build_representation,
     commutation_checker,
     enumerate_endomorphisms,
@@ -65,19 +66,118 @@ def test_methods_agree_at_size_five():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), unary_only=st.booleans(),
-       constants=st.lists(st.integers(0, 4), max_size=2))
-def test_backtrack_matches_brute(seed, unary_only, constants):
+@given(seed=st.integers(0, 2**32 - 1), dropped=st.sets(st.sampled_from(("f", "u"))),
+       constants=st.lists(st.integers(0, 4), max_size=2),
+       ternary=st.sampled_from((None, "random", "conservative")))
+def test_backtrack_matches_brute(seed, dropped, constants, ternary):
     # random_algebra adds a nullary operation half the time; extra constants
     # make several nullary rows seed the search together.  Without the random
     # binary operation most maps survive long enough for propagation chains.
-    alg, _frame = random_algebra(random.Random(seed), max_size=5)
+    # A ternary operation has rows that repeat an argument, so the branched
+    # element fills several positions of one row; a conservative one (each
+    # value is one of its arguments) keeps every subset a subuniverse, so its
+    # rows become unit rows of every pattern.
+    rng = random.Random(seed)
+    alg, _frame = random_algebra(rng, max_size=5)
     elements = alg.carrier.elements
-    ops = tuple(f for f in alg.ops if not (unary_only and f.symbol == "f"))
+    ops = tuple(f for f in alg.ops if f.symbol not in dropped)
     ops += tuple(Operation(f"k{i}", (), table={(): elements[c % len(elements)]})
                  for i, c in enumerate(constants))
+    if ternary:
+        ops += (ternary_operation(rng, elements, ternary == "conservative"),)
+    assume(ops)
     alg = Algebra(alg.name, alg.carrier, ops)
     assert enumerate_endomorphisms(alg, "backtrack") == enumerate_endomorphisms(alg, "brute")
+
+
+def ternary_operation(rng: random.Random, elements, conservative: bool) -> Operation:
+    table = {args: args[rng.randrange(3)] if conservative else rng.choice(elements)
+             for args in itertools.product(elements, repeat=3)}
+    return Operation("t", ("a", "b", "c"), table=table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generators=st.lists(st.integers(1, 7), min_size=1, max_size=3), order=st.randoms())
+def test_backtrack_matches_brute_on_join_semilattices(generators, order):
+    # a union-closed family of subsets of {0, 1, 2}, listed in a random order:
+    # the join of two branched members is often assigned by no earlier row,
+    # so the plan derives it with a set step
+    members = set(generators)
+    while len(members | {a | b for a in members for b in members}) > len(members):
+        members |= {a | b for a in members for b in members}
+    assume(len(members) <= 5)
+    elements = [f"s{m}" for m in members]
+    order.shuffle(elements)
+    table = {(f"s{a}", f"s{b}"): f"s{a | b}" for a in members for b in members}
+    alg = Algebra("join", Carrier(tuple(elements)), (Operation("join", ("l", "r"), table=table),))
+    assert enumerate_endomorphisms(alg, "backtrack") == enumerate_endomorphisms(alg, "brute")
+
+
+def _horner(values, n):
+    code = 0
+    for v in values:
+        code = code * n + v
+    return code
+
+
+def check_plan(alg: Algebra, rng: random.Random) -> list:
+    """Walk the compiled plan of ``alg`` and check each part of it; return the
+    rows it consumes, as (table index, args), in plan order."""
+    n = len(alg.carrier)
+    tables = alg.tables
+    seed, levels = _compile_plan(alg)
+    assigned, seen = set(), []
+
+    def walk(steps):
+        for args, res, codes, is_set in steps:
+            assert set(args) <= assigned and is_set == (res not in assigned)
+            assigned.add(res)
+            seen.append((next(t for t, table in enumerate(tables) if table.codes is codes), args))
+
+    walk(seed)
+    for level in levels:
+        e = level.element
+        assert e == min(set(range(n)) - assigned)
+        assigned.add(e)
+        rows = [(args, tables[t].codes[_horner(args, n)], tables[t].codes)
+                for t, args in level.unit_rows]
+        # a unit row mentions e and otherwise only elements assigned before
+        assert all(e in args and res in assigned for args, res, _codes in rows)
+        # the masks allow exactly the values of h(e) that every unit row allows
+        for _ in range(20):
+            h = [rng.randrange(n) for _ in range(n)]
+            mask = level.mask
+            for others, masks in level.units:
+                mask &= masks[_horner((h[o] for o in others), n)]
+            allowed = 0
+            for v in range(n):
+                h[e] = v
+                if all(codes[_horner((h[a] for a in args), n)] == h[res]
+                       for args, res, codes in rows):
+                    allowed |= 1 << v
+            assert mask == allowed
+        seen += level.unit_rows
+        walk(level.steps)
+    assert assigned == set(range(n))
+    return seen
+
+
+def test_plan_consumes_every_row_once(semilattice2, semilattice3, boolean, trivial):
+    rng = random.Random(13)
+    algebras = [semilattice2[0], semilattice3[0], boolean[0], trivial[0], max_chain(rng, 6)]
+    for _ in range(12):
+        alg, _frame = random_algebra(rng, max_size=4)
+        ternary = ternary_operation(rng, alg.carrier.elements, rng.random() < 0.5)
+        algebras.append(Algebra(alg.name, alg.carrier, alg.ops + (ternary,)))
+    for alg in algebras:
+        n = len(alg.carrier)
+        every_row = [(t, args) for t, table in enumerate(alg.tables)
+                     for args in itertools.product(range(n), repeat=len(table.rank))]
+        assert sorted(check_plan(alg, rng)) == sorted(every_row)
+    # on a join semilattice, propagation derives joins of branched elements
+    for alg, _frame in (semilattice2, semilattice3):
+        _seed, levels = _compile_plan(alg)
+        assert any(is_set for level in levels for *_, is_set in level.steps)
 
 
 def max_chain(rng: random.Random, n: int) -> Algebra:

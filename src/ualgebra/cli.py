@@ -151,13 +151,14 @@ def cmd_gallery(args) -> dict:
         ground = tuple("xyzw"[: args.size])
         alg, frame = gallery.build_powerset_semilattice(ground)
         rep = build_representation(alg, frame)
-        _iso, _j = gallery.incidence_transform(alg, ground)
+        twin, _j = gallery.incidence_transform(alg, ground)
+        isomorphic = gallery.is_bitwise_twin(twin)
         return {
-            "status": "pass" if rep.bijective else "fail",
+            "status": "pass" if rep.bijective and isomorphic else "fail",
             "carrier": len(alg.carrier),
             "endo_count": len(rep.endos),
             "bijective": rep.bijective,
-            "incidence_isomorphic": True,
+            "incidence_isomorphic": isomorphic,
         }
     if name == "boolean":
         alg, frame = gallery.build_boolean_example()

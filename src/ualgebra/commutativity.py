@@ -14,7 +14,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .core import Algebra, FunctionTable, GuardExceeded, tabulate
+from .core import Algebra, FunctionTable, GuardExceeded
 from .elementary import DEFAULT_GUARD, elementary_closure
 from .representation import Representation
 
@@ -67,11 +67,10 @@ def _medial_defect(F: list[int], G: list[int], n: int, r: int, s: int) -> tuple 
     return None
 
 
-def _codes(f, carrier) -> list[int]:
+def _codes(f) -> list[int]:
     """The Horner codes of an ``Operation`` or ``FunctionTable``, as a list: a
     list's bound __getitem__ maps faster than a tuple's."""
-    table = f if isinstance(f, FunctionTable) else tabulate(carrier, f.rank, f)
-    return list(table.codes)
+    return list((f if isinstance(f, FunctionTable) else f.table).codes)
 
 
 def ops_commute(f, g, carrier=None, sampler=None, samples: int = 1000,
@@ -83,7 +82,7 @@ def ops_commute(f, g, carrier=None, sampler=None, samples: int = 1000,
         total = len(carrier) ** (len(R) * len(S))
         if total > guard:
             raise GuardExceeded(f"medial check for {name} needs {total} cases")
-        bad = _medial_defect(_codes(f, carrier), _codes(g, carrier), len(carrier), len(R), len(S))
+        bad = _medial_defect(_codes(f), _codes(g), len(carrier), len(R), len(S))
         if bad is None:
             return MedialReport(name, True, "exhaustive")
         m, lhs, rhs = bad
@@ -131,7 +130,7 @@ def check_closure_commutation(alg: Algebra, Y, commutative: bool,
         return {"status": "skipped", "reason": "algebra is not commutative"}
     closure = elementary_closure(alg, tuple(Y), guard=guard)
     if not closure.complete:
-        return {"status": "guard-exceeded", "size": len(closure.functions)}
+        return {"status": "guard-exceeded", "closure_size": len(closure.functions)}
     tables = [ef.table for ef in closure.functions]
     failures = []
     for f in tables:

@@ -1,11 +1,12 @@
 """Finite carriers, set-ary operations and the algebra container.
 
 Operations are indexed by a rank: an ordered tuple of distinct labels.  An
-argument tuple is always ordered by the rank labels, so a tabulated body is a
-dict from element tuples to elements.  Rule-based bodies exist only for the
-gallery's infinite carriers; they refuse exhaustive enumeration.
-Every tabulated function, whether an operation (``Algebra.tables``), a
-closure member or a conjugate, is a ``FunctionTable`` of Horner codes.
+argument tuple is always ordered by the rank labels.  Every tabulated
+function, whether an operation's body, a closure member or a conjugate, is a
+``FunctionTable`` of Horner codes over carrier indices, and a ``UnaryMap``
+holds carrier indices too; element names appear only when a document is read
+or written and when a value is looked up by name.  Rule-based bodies exist
+only for the gallery's infinite carriers; they refuse exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Iterator
 
 
@@ -68,19 +68,20 @@ class Carrier:
 class Operation:
     """A total set-ary operation, tabulated or rule-based.
 
-    A tabulated body holds exactly ``|A|^|rank|`` rows; a nullary body holds
-    one value, keyed by the empty tuple.  ``fn`` supplies a rule-based body
-    for gallery algebras on infinite carriers.
+    A tabulated body is the operation's ``FunctionTable``; ``fn`` supplies a
+    rule-based body for gallery algebras on infinite carriers.
     """
 
     symbol: str
     rank: Rank
-    table: dict[tuple, Any] | None = None
+    table: FunctionTable | None = None
     fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.table is None) == (self.fn is None):
             raise AlgebraError(f"operation {self.symbol}: need exactly one of table or fn")
+        if self.table is not None and self.table.rank != self.rank:
+            raise AlgebraError(f"operation {self.symbol}: table rank {self.table.rank}")
 
     @property
     def is_tabulated(self) -> bool:
@@ -92,43 +93,43 @@ class Operation:
                 f"operation {self.symbol}: expected {len(self.rank)} arguments, got {len(args)}"
             )
         if self.table is not None:
-            try:
-                return self.table[tuple(args)]
-            except KeyError:
-                raise AlgebraError(f"operation {self.symbol}: no row for {args}") from None
+            return self.table(args)
         return self.fn(*args)
 
 
 @dataclass(frozen=True)
 class UnaryMap:
-    """A total map A -> A, stored as one value per carrier element in order."""
+    """A total map A -> A: ``codes[i]`` is the carrier index of the image of
+    the i-th element, as in ``FunctionTable.codes``."""
 
     carrier: Carrier = field(compare=False)
-    values: tuple[str, ...]
+    codes: tuple[int, ...]
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        """The images as element names, in carrier order."""
+        return tuple(map(self.carrier.elements.__getitem__, self.codes))
 
     def __call__(self, e: str) -> str:
-        return self.values[self.carrier.index[e]]
+        return self.carrier.elements[self.codes[self.carrier.index[e]]]
 
     def compose(self, other: "UnaryMap") -> "UnaryMap":
         # self after other
-        return UnaryMap(self.carrier, tuple(self(v) for v in other.values))
+        return UnaryMap(self.carrier, tuple(map(self.codes.__getitem__, other.codes)))
 
     def is_identity(self) -> bool:
-        return self.values == self.carrier.elements
+        return self.codes == tuple(range(len(self.carrier)))
 
     def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
-
-    def __hash__(self):
-        return hash(self.values)
+        return len(set(self.codes)) == 1
 
 
 def identity_map(carrier: Carrier) -> UnaryMap:
-    return UnaryMap(carrier, carrier.elements)
+    return UnaryMap(carrier, tuple(range(len(carrier))))
 
 
 def constant_map(carrier: Carrier, value: str) -> UnaryMap:
-    return UnaryMap(carrier, (value,) * len(carrier))
+    return UnaryMap(carrier, (carrier.index[value],) * len(carrier))
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,45 @@ class FunctionTable:
     rank: Rank
     codes: tuple[int, ...]
 
+    @classmethod
+    def from_rows(cls, carrier: Carrier, rank: Rank, rows) -> "FunctionTable":
+        """The table of (args, value) rows of element names, or of a dict from
+        args to value; a row of the wrong shape, a missing or a repeated row
+        raises AlgebraError."""
+        index = carrier.index
+        codes: list = [None] * len(carrier) ** len(rank)
+        for args, value in rows.items() if isinstance(rows, dict) else rows:
+            if len(args) != len(rank):
+                raise AlgebraError(f"bad row arity {args}")
+            code = 0
+            for a in args:
+                if a not in index:
+                    raise AlgebraError(f"argument outside carrier: {a}")
+                code = code * len(carrier) + index[a]
+            if value not in index:
+                raise AlgebraError(f"value outside carrier: {value}")
+            if codes[code] is not None:
+                raise AlgebraError("duplicate table rows")
+            codes[code] = index[value]
+        if None in codes:
+            filled = len(codes) - codes.count(None)
+            raise AlgebraError(f"partial table ({filled} of {len(codes)} rows)")
+        return cls(carrier, rank, tuple(codes))
+
     def __call__(self, args: tuple) -> str:
         if len(args) != len(self.rank):
             raise AlgebraError(f"expected {len(self.rank)} arguments, got {len(args)}")
+        index = self.carrier.index
+        if not all(a in index for a in args):
+            raise AlgebraError(f"argument outside carrier: {args}")
+        return self.carrier.elements[self.at([index[a] for a in args])]
+
+    def at(self, indices) -> int:
+        """The value's index at argument indices (in rank order)."""
         code = 0
-        for a in args:
-            code = code * len(self.carrier) + self.carrier.index[a]
-        return self.carrier.elements[self.codes[code]]
+        for i in indices:
+            code = code * len(self.carrier) + i
+        return self.codes[code]
 
     def key(self) -> tuple:
         return (self.rank, self.codes)  # what equality and hashing compare
@@ -158,8 +191,7 @@ class FunctionTable:
             raise AlgebraError("cannot equalize a nullary table")
         n = len(self.carrier)
         step = sum(n**i for i in range(len(self.rank)))  # the code of (1, ..., 1)
-        return UnaryMap(self.carrier, tuple(self.carrier.elements[self.codes[a * step]]
-                                            for a in range(n)))
+        return UnaryMap(self.carrier, tuple(self.codes[a * step] for a in range(n)))
 
 
 def tabulate(carrier: Carrier, rank: Rank, fn) -> FunctionTable:
@@ -189,13 +221,18 @@ class Algebra:
             raise AlgebraError(f"duplicate operation symbols: {symbols}")
         if self.carrier is None and self.sampler is None:
             raise AlgebraError("rule-based algebra needs a sampler")
+        for f in self.ops if self.carrier is not None else ():
+            if not f.is_tabulated:
+                raise AlgebraError(f"operation {f.symbol}: rule-based body in tabulated algebra")
+            if f.table.carrier != self.carrier:
+                raise AlgebraError(f"operation {f.symbol}: table over another carrier")
 
-    @cached_property
+    @property
     def tables(self) -> tuple[FunctionTable, ...]:
-        """Each operation's table, in ``ops`` order, built once per algebra."""
+        """Each operation's table, in ``ops`` order."""
         if not self.is_tabulated:
             raise AlgebraError(f"{self.name} is rule-based and has no operation tables")
-        return tuple(tabulate(self.carrier, f.rank, f) for f in self.ops)
+        return tuple(f.table for f in self.ops)
 
     @property
     def is_tabulated(self) -> bool:
@@ -206,29 +243,6 @@ class Algebra:
             if f.symbol == symbol:
                 return f
         raise AlgebraError(f"no operation named {symbol}")
-
-
-def validate_algebra(alg: Algebra) -> None:
-    """Check every tabulated operation is total and closed over the carrier."""
-    if not alg.is_tabulated:
-        return
-    carrier = alg.carrier
-    for f in alg.ops:
-        if not f.is_tabulated:
-            raise AlgebraError(f"operation {f.symbol}: rule-based body in tabulated algebra")
-        expected = len(carrier) ** len(f.rank)
-        if len(f.table) != expected:
-            raise AlgebraError(
-                f"operation {f.symbol}: partial table ({len(f.table)} of {expected} rows)"
-            )
-        for args, value in f.table.items():
-            if len(args) != len(f.rank):
-                raise AlgebraError(f"operation {f.symbol}: bad row arity {args}")
-            for a in args:
-                if a not in carrier:
-                    raise AlgebraError(f"operation {f.symbol}: argument outside carrier: {a}")
-            if value not in carrier:
-                raise AlgebraError(f"operation {f.symbol}: value outside carrier: {value}")
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
@@ -262,18 +276,16 @@ def algebra_from_dict(doc) -> Algebra:
             rows = expect_json(od["table"], list, f"operation {symbol}: table")
             row_what, args_what, value_what = (
                 f"operation {symbol}: {noun}" for noun in ("a table row", "args", "a value"))
-            table = {}
-            for row in rows:
-                args = expect_strings(expect_json(row, dict, row_what)["args"], args_what)
-                table[tuple(args)] = expect_json(row["value"], str, value_what)
-            if len(table) != len(rows):
-                raise AlgebraError(f"operation {symbol}: duplicate table rows")
+            rows = [(tuple(expect_strings(expect_json(row, dict, row_what)["args"], args_what)),
+                     expect_json(row["value"], str, value_what)) for row in rows]
+            try:
+                table = FunctionTable.from_rows(carrier, rank, rows)
+            except AlgebraError as exc:
+                raise AlgebraError(f"operation {symbol}: {exc}") from None
             ops.append(Operation(symbol, rank, table=table))
     except KeyError as exc:
         raise AlgebraError(f"missing field {exc}") from None
-    alg = Algebra(doc.get("name", "algebra"), carrier, tuple(ops))
-    validate_algebra(alg)
-    return alg
+    return Algebra(doc.get("name", "algebra"), carrier, tuple(ops))
 
 
 def algebra_to_dict(alg: Algebra) -> dict:
@@ -287,8 +299,8 @@ def algebra_to_dict(alg: Algebra) -> dict:
                 "symbol": f.symbol,
                 "rank": list(f.rank),
                 "table": [
-                    {"args": list(args), "value": f.table[args]}
-                    for args in alg.carrier.assignments(f.rank)
+                    {"args": list(args), "value": alg.carrier.elements[v]}
+                    for args, v in zip(alg.carrier.assignments(f.rank), f.table.codes)
                 ],
             }
             for f in alg.ops

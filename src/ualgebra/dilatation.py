@@ -51,10 +51,10 @@ def analyze_dilatations(rep: Representation, guard: int = DEFAULT_GUARD) -> Dila
     delta = frozenset(rankless(alg, guard=guard) & rep.endos)
 
     gamma: dict[str, UnaryMap] = {}
-    nx = len(rep.frame.X)
-    for d in carrier.elements:
-        chi_d = rep.conjugates[d]
-        candidate = UnaryMap(carrier, tuple(chi_d((a,) * nx) for a in carrier.elements))
+    for d, chi_d in rep.conjugates.items():
+        # a nullary conjugate (the empty frame) equalizes to its constant value
+        candidate = (chi_d.equalize() if chi_d.rank
+                     else UnaryMap(carrier, chi_d.codes * len(carrier)))
         if candidate in rep.endos:
             gamma[d] = candidate
 
@@ -71,8 +71,8 @@ def analyze_dilatations(rep: Representation, guard: int = DEFAULT_GUARD) -> Dila
 class EndowedMonoid:
     """The dilatation composition monoid enriched with the image operations.
 
-    Members are indexed canonically (sorted by their value tuples in carrier
-    order); tables are over member indices.
+    Members are indexed canonically (sorted by their codes); tables are over
+    member indices.
     """
 
     members: tuple[UnaryMap, ...]
@@ -82,11 +82,6 @@ class EndowedMonoid:
 
     def index(self, delta: UnaryMap) -> int:
         return self.members.index(delta)
-
-
-def _canonical_order(delta, carrier) -> tuple[UnaryMap, ...]:
-    key = lambda d: tuple(carrier.index[v] for v in d.values)
-    return tuple(sorted(delta, key=key))
 
 
 def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | None, dict]:
@@ -100,7 +95,8 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
     rep = analysis.rep
     alg = rep.algebra
     carrier = alg.carrier
-    members = _canonical_order(analysis.delta, carrier)
+    n = len(carrier)
+    members = tuple(sorted(analysis.delta, key=lambda d: d.codes))
     pos = {d: i for i, d in enumerate(members)}
 
     info: dict = {"delta_size": len(members)}
@@ -111,8 +107,8 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
         table = {}
         closed = True
         for combo in itertools.product(members, repeat=len(f.rank)):
-            value = UnaryMap(carrier,
-                             tuple(f(tuple(d(a) for d in combo)) for a in carrier.elements))
+            value = UnaryMap(carrier, tuple(f.table.at([d.codes[a] for d in combo])
+                                            for a in range(n)))
             if value not in pos:
                 closed = False
                 break
@@ -136,15 +132,14 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
             raise AlgebraError(f"image of {f.symbol} escapes the dilatation set")
 
     # the generator must be a homomorphism onto every image operation
-    gamma = analysis.gamma
+    gamma = [pos[analysis.gamma[a]] for a in carrier.elements]  # by carrier index
     op_tables = dict((s, t) for s, _r, t in image_ops)
     for f in alg.ops:
         table = op_tables[f.symbol]
-        for args in carrier.assignments(f.rank):
-            expected = pos[gamma[f(args)]]
-            got = table[tuple(pos[gamma[a]] for a in args)]
-            if got != expected:
-                raise AlgebraError(f"dilatation generator is not a homomorphism at {args}")
+        for code, args in enumerate(itertools.product(range(n), repeat=len(f.rank))):
+            if table[tuple(gamma[a] for a in args)] != gamma[f.table.codes[code]]:
+                at = tuple(carrier.elements[a] for a in args)
+                raise AlgebraError(f"dilatation generator is not a homomorphism at {at}")
 
     return EndowedMonoid(members, unit, product, tuple(image_ops)), info
 
@@ -154,6 +149,7 @@ def check_distributivities(monoid: EndowedMonoid, analysis: DilatationAnalysis) 
     transporting the member-wise compositions; the heterogeneous law:
     members act as endomorphisms of every parent operation."""
     carrier = analysis.rep.algebra.carrier
+    n = len(carrier)
     members = monoid.members
     failures = []
     for symbol, rank, table in monoid.image_ops:
@@ -165,9 +161,10 @@ def check_distributivities(monoid: EndowedMonoid, analysis: DilatationAnalysis) 
                     failures.append(("homogeneous", symbol, d_idx, args))
     for f in analysis.rep.algebra.ops:
         for d in members:
-            for args in carrier.assignments(f.rank):
-                if d(f(args)) != f(tuple(d(a) for a in args)):
-                    failures.append(("heterogeneous", f.symbol, d.values, args))
+            for code, args in enumerate(itertools.product(range(n), repeat=len(f.rank))):
+                if d.codes[f.table.codes[code]] != f.table.at([d.codes[a] for a in args]):
+                    at = tuple(carrier.elements[a] for a in args)
+                    failures.append(("heterogeneous", f.symbol, d.values, at))
     return {"status": "pass" if not failures else "fail", "failures": failures}
 
 

@@ -110,19 +110,6 @@ def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, 
         first, start = False, end
 
 
-def _close(alg: Algebra, seeds: dict[tuple, Term], width: int,
-           guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
-    """``_fixpoint`` over element names: the seed vectors and members are
-    tuples of carrier elements, in the members' insertion order."""
-    ops = _horner_tables(alg)  # raises AlgebraError on a rule-based algebra
-    idx = alg.carrier.index
-    names = alg.carrier.elements
-    members, complete = _fixpoint(
-        len(names), ops, {tuple(idx[a] for a in vector): term for vector, term in seeds.items()},
-        width, guard)
-    return {tuple(names[c] for c in vector): term for vector, term in members.items()}, complete
-
-
 def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> ClosureResult:
     """Least fixpoint of composition over the projections, deduplicated by table.
 
@@ -161,17 +148,19 @@ def rankless(alg: Algebra, guard: int = DEFAULT_GUARD) -> set[UnaryMap]:
     return {ef.table.equalize() for ef in closure.functions}
 
 
-def subuniverse_with_terms(alg: Algebra, seeds: dict[str, Term]) -> dict[str, Term]:
-    """Subalgebra closure of seed elements, keeping one reaching term each."""
-    members, _complete = _close(alg, {(a,): term for a, term in seeds.items()}, 1)
+def subuniverse_with_terms(alg: Algebra, seeds: dict[int, Term]) -> dict[int, Term]:
+    """Subalgebra closure of seed elements (carrier indices), keeping one
+    reaching term each."""
+    members, _complete = _fixpoint(len(alg.carrier), _horner_tables(alg),
+                                   {(a,): term for a, term in seeds.items()}, 1)
     return {a: term for (a,), term in members.items()}
 
 
 def generated_subuniverse(alg: Algebra, frame) -> set[str]:
     """Everything reachable from the frame's range; equals the carrier iff
     the frame is a generator."""
-    seeds = {frame.U[x]: ("proj", x) for x in frame.X}
-    return set(subuniverse_with_terms(alg, seeds))
+    seeds = {alg.carrier.index[frame.U[x]]: ("proj", x) for x in frame.X}
+    return {alg.carrier.elements[a] for a in subuniverse_with_terms(alg, seeds)}
 
 
 @dataclass(frozen=True)
@@ -205,15 +194,14 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
     """
     X = frame.X
     carrier = alg.carrier
-    reach = subuniverse_with_terms(alg, {frame.U[x]: ("proj", x) for x in X})
-    if set(reach) != set(carrier.elements):
-        return GeneratorResult("not-generator",
-                               missing=frozenset(set(carrier.elements) - set(reach)))
-
     n = len(carrier)
-    idx = carrier.index
+    U = [carrier.index[frame.U[x]] for x in X]
+    reach = subuniverse_with_terms(alg, {u: ("proj", x) for x, u in zip(X, U)})
+    if len(reach) < n:
+        return GeneratorResult("not-generator", missing=frozenset(
+            a for i, a in enumerate(carrier.elements) if i not in reach))
+
     ops = _horner_tables(alg)
-    U = [idx[frame.U[x]] for x in X]
     # chi_codes[a][c] is chi_a at the matrix M of Horner code c
     chi_codes = [[0] * n ** len(X) for _ in range(n)]
     for code, M in enumerate(itertools.product(range(n), repeat=len(X))):
@@ -232,7 +220,7 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
             chi_codes[a][code] = b
 
     chi = {
-        a: ElementaryFunction(FunctionTable(carrier, X, tuple(codes)), reach[a])
-        for a, codes in zip(carrier.elements, chi_codes)
+        a: ElementaryFunction(FunctionTable(carrier, X, tuple(codes)), reach[i])
+        for i, (a, codes) in enumerate(zip(carrier.elements, chi_codes))
     }
     return GeneratorResult("ok", chi=chi)

@@ -13,7 +13,8 @@ from .pert import (
     pert_j_inverse,
     pert_nu,
 )
-from .semilattice import build_powerset_semilattice, incidence_transform, semilattice_eta
+from .semilattice import (build_powerset_semilattice, incidence_transform, is_bitwise_twin,
+                          semilattice_eta)
 
 __all__ = [
     "PertProject",
@@ -23,6 +24,7 @@ __all__ = [
     "gaussian_check",
     "incidence_transform",
     "integers_check",
+    "is_bitwise_twin",
     "load_project",
     "pert_algebra",
     "pert_eta",

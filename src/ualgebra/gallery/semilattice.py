@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..core import Algebra, AlgebraError, Carrier, Operation
+from ..core import Algebra, AlgebraError, Carrier, FunctionTable, Operation
 from ..representation import Frame
 
 MAX_GROUND = 4
@@ -35,12 +35,11 @@ def build_powerset_semilattice(ground) -> tuple[Algebra, Frame]:
     names = {s: subset_name(s, ground) for s in subsets}
     carrier = Carrier(tuple(names[s] for s in subsets))
 
-    union_table = {
-        (names[a], names[b]): names[a | b] for a in subsets for b in subsets
-    }
     ops = (
-        Operation("0", (), table={(): names[frozenset()]}),
-        Operation("union", ("l", "r"), table=union_table),
+        Operation("0", (), table=FunctionTable.from_rows(carrier, (), {(): names[frozenset()]})),
+        Operation("union", ("l", "r"), table=FunctionTable.from_rows(
+            carrier, ("l", "r"), {(names[a], names[b]): names[a | b]
+                                  for a in subsets for b in subsets})),
     )
     alg = Algebra(f"powerset-semilattice-{len(ground)}", carrier, ops)
     frame = Frame(ground, {x: names[frozenset({x})] for x in ground})
@@ -66,8 +65,9 @@ def bits_name(subset, ground) -> str:
 def incidence_transform(alg: Algebra, ground) -> tuple[Algebra, dict]:
     """Transport the semilattice along the characteristic-function bijection.
 
-    Returns the isomorphic algebra on 0/1 vectors plus the element map; the
-    transported union is bitwise or.
+    Returns the isomorphic algebra on 0/1 vectors plus the element map: the
+    carrier is relabelled and the operation tables keep their codes, so the
+    transport commutes with every operation by construction.
     """
     ground = tuple(ground)
     j = {
@@ -75,19 +75,19 @@ def incidence_transform(alg: Algebra, ground) -> tuple[Algebra, dict]:
         for name in alg.carrier.elements
     }
     carrier = Carrier(tuple(j[name] for name in alg.carrier.elements))
-    ops = tuple(
-        Operation(f.symbol, f.rank,
-                  table={tuple(j[a] for a in args): j[v] for args, v in f.table.items()})
-        for f in alg.ops
-    )
-    out = Algebra(alg.name + "-incidence", carrier, ops)
+    ops = tuple(Operation(f.symbol, f.rank, table=FunctionTable(carrier, f.rank, f.table.codes))
+                for f in alg.ops)
+    return Algebra(alg.name + "-incidence", carrier, ops), j
 
-    # commuting-square check: transporting then operating = operating then transporting
-    for f, g in zip(alg.ops, out.ops):
-        for args in alg.carrier.assignments(f.rank):
-            if j[f(args)] != g(tuple(j[a] for a in args)):
-                raise AlgebraError("incidence transform is not an isomorphism")
-    return out, j
+
+def is_bitwise_twin(twin: Algebra) -> bool:
+    """Whether the twin's union is the bitwise or of its 0/1 names on every
+    row and its 0 is the all-zero string, read off the names alone."""
+    union, zero = twin.op("union"), twin.op("0")
+    width = len(twin.carrier.elements[0])
+    return zero(()) == "0" * width and all(
+        union((a, b)) == "".join(map(max, a, b))  # "1" > "0", so max is or
+        for a, b in twin.carrier.assignments(union.rank))
 
 
 def incidence_matrix(M: dict, ground) -> list[str]:

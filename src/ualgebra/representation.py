@@ -54,14 +54,11 @@ def load_frame(path) -> Frame:
 
 
 def _indexed_rows(alg: Algebra):
-    """Each tabulated op as a dict from argument indices to the result's index,
-    read from the name tables (the brute-force oracle's own layout)."""
-    idx = alg.carrier.index
-    out = []
-    for g in alg.ops:
-        table = {tuple(idx[a] for a in args): idx[v] for args, v in g.table.items()}
-        out.append(table)
-    return out
+    """Each operation as a dict from argument indices to the result's index
+    (the brute-force oracle's own layout)."""
+    n = len(alg.carrier)
+    return [dict(zip(itertools.product(range(n), repeat=len(t.rank)), t.codes))
+            for t in alg.tables]
 
 
 def _is_endo(values: tuple[int, ...], tables) -> bool:
@@ -81,7 +78,7 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
     out = set()
     for values in itertools.product(range(n), repeat=n):
         if _is_endo(values, tables):
-            out.add(UnaryMap(carrier, tuple(carrier.elements[v] for v in values)))
+            out.add(UnaryMap(carrier, values))
     return out
 
 
@@ -189,7 +186,6 @@ def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
     carrier = alg.carrier
     n = len(carrier)
     seed, levels = _compile_plan(alg)
-    names = carrier.elements.__getitem__
     out: set[UnaryMap] = set()
     # the positions written at a depth are the same on every branch, so one
     # list serves the whole search: nothing is copied or undone
@@ -197,7 +193,7 @@ def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
 
     def search(depth: int):
         if depth == len(levels):
-            out.add(UnaryMap(carrier, tuple(map(names, h))))
+            out.add(UnaryMap(carrier, tuple(h)))
             return
         e, mask, units, steps, _ = levels[depth]
         for others, masks in units:
@@ -264,6 +260,7 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
                                        "matrix": ()})
 
     by_matrix: dict[Matrix, UnaryMap] = {}
+    # in name order, which decides the collision that a failure reports
     for h in sorted(endos, key=lambda h: h.values):
         m = sampling[h]
         if m in by_matrix:
@@ -278,8 +275,7 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
                               failure={"reason": "not-surjective", "matrix": unhit[0]})
 
     # chi_a(M) = h_M(a): column a of the extension's maps in canonical order of M
-    idx = carrier.index
-    images = [[idx[v] for v in by_matrix[m].values] for m in carrier.assignments(frame.X)]
+    images = [by_matrix[m].codes for m in carrier.assignments(frame.X)]
     conjugates = {a: FunctionTable(carrier, frame.X, codes)
                   for a, codes in zip(carrier.elements, zip(*images))}
     return Representation(alg, frame, frozenset(endos), sampling, bijective=True,
@@ -349,8 +345,7 @@ def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | N
     defect = commutation_checker(rep)
     carrier = alg.carrier
     n = len(carrier)
-    idx = carrier.index
-    members = {tuple(idx[v] for v in h.values) for h in rep.endos}
+    members = {h.codes for h in rep.endos}
     report["commutation_members_ok"] = all(defect(h) is None for h in members)
 
     if n**n <= reject_cap:

@@ -2,9 +2,14 @@ import random
 
 import pytest
 
-from ualgebra.core import Algebra, Carrier, Operation
+from ualgebra.core import Algebra, Carrier, FunctionTable, Operation
 from ualgebra.gallery import build_boolean_example, build_powerset_semilattice
 from ualgebra.representation import Frame
+
+
+def op_from_rows(carrier: Carrier, symbol: str, rank: tuple, rows) -> Operation:
+    """A tabulated operation from a dict of element-name rows."""
+    return Operation(symbol, rank, table=FunctionTable.from_rows(carrier, rank, rows))
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +31,7 @@ def boolean():
 def trivial():
     carrier = Carrier(("e",))
     alg = Algebra("trivial", carrier,
-                  (Operation("star", ("l", "r"), table={("e", "e"): "e"}),))
+                  (op_from_rows(carrier, "star", ("l", "r"), {("e", "e"): "e"}),))
     return alg, Frame((), {})
 
 
@@ -36,13 +41,13 @@ def random_algebra(rng: random.Random, max_size: int = 4):
     n = rng.randint(2, max_size)
     elements = tuple(f"a{i}" for i in range(n))
     carrier = Carrier(elements)
-    binary = Operation("f", ("l", "r"), table={
+    binary = op_from_rows(carrier, "f", ("l", "r"), {
         (a, b): rng.choice(elements) for a in elements for b in elements
     })
-    unary = Operation("u", ("a",), table={(a,): rng.choice(elements) for a in elements})
+    unary = op_from_rows(carrier, "u", ("a",), {(a,): rng.choice(elements) for a in elements})
     ops = [binary, unary]
     if rng.random() < 0.5:
-        ops.append(Operation("c", (), table={(): rng.choice(elements)}))
+        ops.append(op_from_rows(carrier, "c", (), {(): rng.choice(elements)}))
     alg = Algebra("random", carrier, tuple(ops))
     k = rng.randint(1, 2)
     labels = tuple(f"x{i}" for i in range(k))

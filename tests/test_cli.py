@@ -100,7 +100,8 @@ def test_commutative_closure_guard_is_not_a_pass():
     out, code = run(["--guard-tables", "0", "commutative", str(FIXTURES / "semilattice2.json")])
     assert code == 1
     body = out["report"]
-    assert body["closure_commutation"]["status"] == "guard-exceeded"
+    # the closure stopped at its one seed, the projection
+    assert body["closure_commutation"] == {"status": "guard-exceeded", "closure_size": 1}
     assert body["status"] == "guard-exceeded"
 
 
@@ -127,13 +128,15 @@ def test_commutative_checks_the_medial_law_once(monkeypatch):
 
 
 def test_commutative_tabulates_only_the_fundamental_operations(monkeypatch):
-    # closure members already hold their codes; only the operations of the
-    # medial pairs are tabulated, two per pair
-    import ualgebra.commutativity
-    calls = _count_calls(monkeypatch, ualgebra.commutativity, "tabulate")
+    # operations and closure members already hold their codes, so nothing is
+    # tabulated, in core or through a combinator
+    import ualgebra.combinator
+    import ualgebra.core
+    calls = _count_calls(monkeypatch, ualgebra.core, "tabulate")
+    _count_calls(monkeypatch, ualgebra.combinator, "tabulate", calls)
     out, code = run(["commutative", str(FIXTURES / "semilattice3.json"), "--Y", "2"])
     assert code == 0 and out["report"]["closure_commutation"]["closure_size"] == 4
-    assert len(calls) == 2 * len(out["report"]["pairs"])
+    assert calls == []
 
 
 def test_gallery_runs():
@@ -145,6 +148,19 @@ def test_gallery_runs():
         out, code = run(argv)
         assert code == 0, out
         assert out["report"]["status"] == "pass"
+
+
+def test_gallery_semilattice_reports_a_broken_twin(monkeypatch):
+    # the incidence twin is checked on its names, so a wrong table reads false
+    import ualgebra.gallery
+    from test_gallery import corrupt
+    real = ualgebra.gallery.incidence_transform
+    monkeypatch.setattr(ualgebra.gallery, "incidence_transform",
+                        lambda alg, ground: (corrupt(real(alg, ground)[0], "union", 1, 0), None))
+    out, code = run(["gallery", "semilattice", "--size", "2"])
+    assert code == 1
+    assert out["report"]["incidence_isomorphic"] is False
+    assert out["report"]["status"] == "fail"
 
 
 def test_gallery_pert_trajectory():
@@ -394,3 +410,58 @@ def test_max_carrier_guards_every_algebra_command(command):
     assert {k: body[k] for k in ("status", "reason")} == \
         {k: endos["report"][k] for k in ("status", "reason")}
     assert set(body) == set(endos["report"])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
+MONOID = "{monoid}"  # stands for the --emit-monoid file in a golden command
+
+
+def _golden_commands() -> list[list[str]]:
+    """Every fixture through the pipeline commands, and the gallery, under two
+    seeds; the inputs are paths relative to the repository root."""
+    fixture = "fixtures/{}.json".format
+    runs = []
+    for alg, frame in (("boolean", "boolean_frame"), ("semilattice2", "semilattice2_frame"),
+                       ("semilattice2", "semilattice2_constant_frame"),
+                       ("semilattice3", "semilattice3_frame")):
+        runs += [["basis", fixture(alg), fixture(frame)],
+                 ["dilatations", fixture(alg), fixture(frame), "--emit-monoid", MONOID],
+                 ["commutative", fixture(alg), "--frame", fixture(frame)]]
+    for alg in ("boolean", "semilattice2", "semilattice3", "trivial"):
+        runs += [["endos", fixture(alg), "--list", "--method", "backtrack"],
+                 ["endos", fixture(alg), "--list", "--method", "brute"],
+                 ["commutative", fixture(alg), "--Y", "2"],
+                 ["--guard-tables", "0", "commutative", fixture(alg)]]
+    runs += [["gallery", "semilattice", "--size", size] for size in ("1", "2", "3")]
+    runs += [["gallery", name] for name in ("boolean", "integers", "gaussian")]
+    runs.append(["gallery", "pert", fixture("diamond_project"), "--forward"])
+    return [["--seed", seed, *argv] for seed in ("0", "7") for argv in runs]
+
+
+def _golden_record(argv: list[str], monoid_path: Path) -> dict:
+    """The exit code, report body and emitted monoid of one golden command,
+    run from the repository root."""
+    monoid_path.unlink(missing_ok=True)
+    out, code = run([str(monoid_path) if a == MONOID else a for a in argv])
+    monoid = json.loads(monoid_path.read_text()) if monoid_path.exists() else None
+    return {"code": code, "report": json.loads(json.dumps(out["report"])), "monoid": monoid}
+
+
+def test_golden_report_bodies(tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == {" ".join(argv) for argv in _golden_commands()}
+    for argv in _golden_commands():
+        assert _golden_record(argv, tmp_path / "monoid.json") == golden[" ".join(argv)], argv
+
+
+if __name__ == "__main__":
+    # re-record tests/golden_reports.json: PYTHONPATH=src python tests/test_cli.py
+    import os
+    import tempfile
+
+    os.chdir(FIXTURES.parent)
+    with tempfile.TemporaryDirectory() as tmp:
+        records = {" ".join(argv): _golden_record(argv, Path(tmp) / "monoid.json")
+                   for argv in _golden_commands()}
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_algebra
+from conftest import op_from_rows, random_algebra
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.commutativity import (
     MedialReport,
@@ -14,7 +14,7 @@ from ualgebra.commutativity import (
     medial_check,
     ops_commute,
 )
-from ualgebra.core import Algebra, Carrier, Operation
+from ualgebra.core import Algebra, Carrier
 from ualgebra.elementary import elementary_closure
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import build_representation
@@ -40,10 +40,10 @@ def medial_pool(seed):
     alg, _frame = random_algebra(rng, max_size=3)
     el = alg.carrier.elements
     ops = list(alg.ops)
-    ops.append(Operation("t", ("a", "b", "c"), table={
+    ops.append(op_from_rows(alg.carrier, "t", ("a", "b", "c"), {
         args: rng.choice(el) for args in itertools.product(el, repeat=3)}))
     if all(g.rank for g in ops):
-        ops.append(Operation("c", (), table={(): rng.choice(el)}))
+        ops.append(op_from_rows(alg.carrier, "c", (), {(): rng.choice(el)}))
     alg = Algebra("varied", alg.carrier, tuple(ops))
     tables = [ef.table for Y in (("p",), ("p", "q"))
               for ef in elementary_closure(alg, Y, guard=8).functions]
@@ -96,7 +96,7 @@ def test_empty_rank_cases(semilattice2):
 def test_nullary_constant_commutes_iff_fixed_point():
     # with a nullary f the law collapses to a = g(a, ..., a)
     carrier = Carrier(("a", "b"))
-    u = Operation("u", ("p",), table={("a",): "a", ("b",): "a"})
+    u = op_from_rows(carrier, "u", ("p",), {("a",): "a", ("b",): "a"})
     k_fixed = constant_fn(carrier, "a", ())
     k_moved = constant_fn(carrier, "b", ())
     assert ops_commute(k_fixed, u, carrier=carrier).holds

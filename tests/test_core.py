@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_algebra
+from conftest import op_from_rows, random_algebra
 from ualgebra.core import (
     Algebra,
     AlgebraError,
     Carrier,
-    Operation,
     algebra_from_dict,
     algebra_to_dict,
     load_algebra,
@@ -36,6 +35,13 @@ def test_eval_rank_mismatch(semilattice2):
         alg.op("union")(("{x}",))
 
 
+def test_eval_outside_carrier(semilattice2):
+    # a tabulated operation looks names up in its table's carrier
+    alg, _frame = semilattice2
+    with pytest.raises(AlgebraError, match="outside carrier"):
+        alg.op("union")(("{x}", "{z}"))
+
+
 def test_empty_carrier_rejected():
     with pytest.raises(AlgebraError, match="empty carrier"):
         Carrier(())
@@ -52,9 +58,10 @@ def test_empty_operation_list_rejected():
 
 
 def test_duplicate_operation_symbols_rejected():
-    unary = Operation("u", ("x",), table={("a",): "a"})
+    carrier = Carrier(("a",))
+    unary = op_from_rows(carrier, "u", ("x",), {("a",): "a"})
     with pytest.raises(AlgebraError, match="duplicate operation symbols"):
-        Algebra("bad", Carrier(("a",)), (unary, unary))
+        Algebra("bad", carrier, (unary, unary))
 
 
 def test_value_outside_carrier_rejected():
@@ -104,7 +111,7 @@ def test_roundtrip(tmp_path, semilattice2):
 
 
 def test_nullary_table_shape():
-    op = Operation("c", (), table={(): "a"})
+    op = op_from_rows(Carrier(("a",)), "c", (), {(): "a"})
     assert op(()) == "a"
 
 
@@ -132,7 +139,8 @@ def _some_row(doc, draw):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=SEEDS, kind=st.sampled_from(
-    ["drop row", "change value", "duplicate symbol", "non-string element", "top-level shape"]),
+    ["drop row", "change value", "change args", "duplicate symbol", "non-string element",
+     "top-level shape"]),
     data=st.data())
 def test_mutated_documents_load_or_fail(seed, kind, data):
     """A mutated document either loads as a valid algebra or raises
@@ -140,12 +148,29 @@ def test_mutated_documents_load_or_fail(seed, kind, data):
     alg, _frame = random_algebra(random.Random(seed), max_size=4)
     doc = algebra_to_dict(alg)
     draw = data.draw
+    error = ""  # what the raised AlgebraError must say
     if kind == "drop row":
         od, row = _some_row(doc, draw)
         od["table"].remove(row)
     elif kind == "change value":
         _od, row = _some_row(doc, draw)
         row["value"] = draw(st.sampled_from(doc["elements"]) | st.text(max_size=3) | NON_STRINGS)
+    elif kind == "change args":
+        od, row = _some_row(doc, draw)
+        others = [r["args"] for r in od["table"] if r is not row]
+        how = draw(st.sampled_from(["outside"] * bool(row["args"]) + ["length"]
+                                   + ["another row"] * bool(others)))
+        if how == "outside":
+            row["args"][draw(st.integers(0, len(row["args"]) - 1))] = draw(
+                st.text(max_size=3).filter(lambda a: a not in doc["elements"]))
+            error = "argument outside carrier"
+        elif how == "length":
+            k = draw(st.integers(0, 3).filter(lambda k: k != len(row["args"])))
+            row["args"] = draw(st.lists(st.sampled_from(doc["elements"]), min_size=k, max_size=k))
+            error = "bad row arity"
+        else:
+            row["args"] = list(draw(st.sampled_from(others)))
+            error = "duplicate table rows"
     elif kind == "duplicate symbol":
         doc["operations"].append(dict(draw(st.sampled_from(doc["operations"]))))
     elif kind == "non-string element":
@@ -163,7 +188,8 @@ def test_mutated_documents_load_or_fail(seed, kind, data):
         ]))
     try:
         back = algebra_from_dict(doc)
-    except AlgebraError:
+    except AlgebraError as exc:
+        assert error in str(exc)
         return
     assert kind == "change value", f"{kind} loaded"
     assert [f.symbol for f in back.ops] == [f.symbol for f in alg.ops]

@@ -5,11 +5,10 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_algebra
+from conftest import op_from_rows, random_algebra
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
-from ualgebra.core import Algebra, Carrier, Operation
+from ualgebra.core import Algebra, Carrier
 from ualgebra.elementary import (
-    _close,
     _fixpoint,
     _horner_tables,
     elementary_closure,
@@ -46,7 +45,7 @@ def brute_closure_tables(alg, Y, max_depth=4):
 
 
 def naive_close(alg, seeds, width, guard=math.inf):
-    """Oracle for ``_close``: every round applies each operation to every
+    """Oracle for ``_fixpoint``: every round applies each operation to every
     combination of the members so far, through ``Operation.__call__`` on
     element names, and keeps the first term reaching each new vector."""
     members = dict(seeds)
@@ -79,9 +78,9 @@ def closure_case(seed, shape):
     el = alg.carrier.elements
     ops = [g for g in alg.ops if g.rank]
     if rng.random() < 0.3:
-        ops.append(Operation("t", ("a", "b", "c"), table={
+        ops.append(op_from_rows(alg.carrier, "t", ("a", "b", "c"), {
             args: rng.choice(el) for args in itertools.product(el, repeat=3)}))
-    ops += [Operation(f"c{i}", (), table={(): rng.choice(el)})
+    ops += [op_from_rows(alg.carrier, f"c{i}", (), {(): rng.choice(el)})
             for i in range(rng.randint(0, 2))]
     rng.shuffle(ops)
     alg = Algebra("varied", alg.carrier, tuple(ops))
@@ -99,6 +98,11 @@ def closure_case(seed, shape):
     for pos, x in enumerate(Y):
         seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
     return alg, seeds, len(assigns)
+
+
+def indexed_seeds(alg, seeds):
+    """Seed vectors of element names as vectors of carrier indices."""
+    return {tuple(map(alg.carrier.index.__getitem__, v)): term for v, term in seeds.items()}
 
 
 def term_depth(term):
@@ -132,9 +136,10 @@ def test_close_matches_naive_rounds(seed, shape, guard):
     closure part-way."""
     assume(shape != "functions" or guard < math.inf)
     alg, seeds, width = closure_case(seed, shape)
-    members, complete = _close(alg, seeds, width, guard)
+    members, complete = _fixpoint(len(alg.carrier), _horner_tables(alg),
+                                  indexed_seeds(alg, seeds), width, guard)
     expected, expected_complete = naive_close(alg, seeds, width, guard)
-    assert list(members.items()) == list(expected.items())
+    assert list(members.items()) == list(indexed_seeds(alg, expected).items())
     assert complete == expected_complete
 
 
@@ -146,12 +151,9 @@ def test_close_evaluates_only_new_combinations(seed, shape, guard):
     non-nullary operation, and one per nullary operation in the first round."""
     assume(shape != "functions" or guard < math.inf)
     alg, seeds, width = closure_case(seed, shape)
-    idx = alg.carrier.index
     count = [0]
     ops = [(symbol, k, CountingTable(flat, count)) for symbol, k, flat in _horner_tables(alg)]
-    members, complete = _fixpoint(
-        len(alg.carrier), ops,
-        {tuple(idx[a] for a in v): term for v, term in seeds.items()}, width, guard)
+    members, complete = _fixpoint(len(alg.carrier), ops, indexed_seeds(alg, seeds), width, guard)
     # seeds have depth 0 and round r finds the members of depth r + 1, so the
     # rounds run are one per depth found plus, when complete, the round that
     # found nothing
@@ -189,7 +191,7 @@ def test_boolean_unary_closure(boolean):
 def test_empty_arity_without_nullary():
     carrier = Carrier(("a", "b"))
     alg = Algebra("no-nullary", carrier, (
-        Operation("f", ("l", "r"), table={
+        op_from_rows(carrier, "f", ("l", "r"), {
             (x, y): "a" for x in carrier.elements for y in carrier.elements
         }),
     ))
@@ -222,7 +224,7 @@ def test_guard_abandons():
     # a random-ish binary op generates lots of distinct term functions
     values = ("b", "c", "a", "c", "a", "b", "a", "b", "c")
     table = dict(zip(itertools.product(carrier.elements, repeat=2), values))
-    alg = Algebra("wild", carrier, (Operation("f", ("l", "r"), table=table),))
+    alg = Algebra("wild", carrier, (op_from_rows(carrier, "f", ("l", "r"), table),))
     result = elementary_closure(alg, ("p", "q"), guard=5)
     assert not result.complete
 
@@ -243,7 +245,7 @@ def test_rankless_boolean(boolean):
 
 def test_rankless_only_nullary():
     carrier = Carrier(("a", "b"))
-    alg = Algebra("consts", carrier, (Operation("c", (), table={(): "b"}),))
+    alg = Algebra("consts", carrier, (op_from_rows(carrier, "c", (), {(): "b"}),))
     maps = rankless(alg)
     assert {m.values for m in maps} == {("a", "b"), ("b", "b")}
 
@@ -295,7 +297,7 @@ def test_not_independent_diagnosis():
     # element while the witnessing terms have different tables
     carrier = Carrier(("a", "b"))
     alg = Algebra("dep", carrier, (
-        Operation("u", ("p",), table={("a",): "b", ("b",): "b"}),
+        op_from_rows(carrier, "u", ("p",), {("a",): "b", ("b",): "b"}),
     ))
     result = elementary_generator(alg, Frame(("x", "y"), {"x": "a", "y": "b"}))
     assert result.status == "not-independent"
@@ -334,9 +336,11 @@ def test_subuniverse_terms_evaluate_to_members(seed):
     """Each generated element's term, evaluated at the frame, gives that
     element, and the generated set is closed under every operation."""
     alg, frame = random_algebra(random.Random(seed), max_size=3)
-    reach = subuniverse_with_terms(alg, {frame.U[x]: ("proj", x) for x in frame.X})
+    idx = alg.carrier.index
+    reach = subuniverse_with_terms(alg, {idx[frame.U[x]]: ("proj", x) for x in frame.X})
+    names = {alg.carrier.elements[a] for a in reach}
     for a, term in reach.items():
-        assert term_table(alg, term, frame.X)(frame.columns()) == a
+        assert idx[term_table(alg, term, frame.X)(frame.columns())] == a
     for g in alg.ops:
-        for args in itertools.product(reach, repeat=len(g.rank)):
-            assert g(args) in reach
+        for args in itertools.product(names, repeat=len(g.rank)):
+            assert g(args) in names

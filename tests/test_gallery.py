@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -46,6 +47,7 @@ from ualgebra.gallery.semilattice import (
     build_powerset_semilattice,
     incidence_matrix,
     incidence_transform,
+    is_bitwise_twin,
     semilattice_eta,
 )
 from ualgebra.representation import build_representation
@@ -103,6 +105,24 @@ def test_incidence_transform_is_isomorphism(semilattice2):
     # transported union is bitwise or
     assert twin.op("union")(("10", "01")) == "11"
     assert twin.op("0")(()) == "00"
+
+
+def corrupt(twin, symbol: str, code: int, value: int):
+    """The twin with one code of operation ``symbol`` overwritten."""
+    ops = tuple(replace(f, table=replace(f.table, codes=tuple(
+        value if c == code else v for c, v in enumerate(f.table.codes))))
+        if f.symbol == symbol else f for f in twin.ops)
+    return replace(twin, ops=ops)
+
+
+def test_bitwise_twin_check(semilattice2, semilattice3):
+    for alg, frame in (semilattice2, semilattice3):
+        twin, _j = incidence_transform(alg, frame.X)
+        assert is_bitwise_twin(twin)
+        assert not is_bitwise_twin(corrupt(twin, "union", 1, 0))  # 10 | 00 read as 00
+        n = len(twin.carrier)
+        assert not is_bitwise_twin(corrupt(twin, "union", n + 1, 2))  # 10... | 10... read as 01...
+        assert not is_bitwise_twin(corrupt(twin, "0", 0, 1))  # 0 read as 10
 
 
 def test_ground_size_limits():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_algebra
+from conftest import op_from_rows, random_algebra
 from ualgebra.core import Algebra, AlgebraError, Carrier, Operation, UnaryMap
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import (
@@ -43,7 +43,7 @@ def test_boolean_endo_count(boolean):
 
 def test_trivial_endo_count(trivial):
     alg, _frame = trivial
-    assert enumerate_endomorphisms(alg) == {UnaryMap(alg.carrier, ("e",))}
+    assert enumerate_endomorphisms(alg) == {UnaryMap(alg.carrier, (0,))}
 
 
 def test_methods_agree_on_fixtures(semilattice2, boolean, trivial):
@@ -81,19 +81,20 @@ def test_backtrack_matches_brute(seed, dropped, constants, ternary):
     alg, _frame = random_algebra(rng, max_size=5)
     elements = alg.carrier.elements
     ops = tuple(f for f in alg.ops if f.symbol not in dropped)
-    ops += tuple(Operation(f"k{i}", (), table={(): elements[c % len(elements)]})
+    ops += tuple(op_from_rows(alg.carrier, f"k{i}", (), {(): elements[c % len(elements)]})
                  for i, c in enumerate(constants))
     if ternary:
-        ops += (ternary_operation(rng, elements, ternary == "conservative"),)
+        ops += (ternary_operation(rng, alg.carrier, ternary == "conservative"),)
     assume(ops)
     alg = Algebra(alg.name, alg.carrier, ops)
     assert enumerate_endomorphisms(alg, "backtrack") == enumerate_endomorphisms(alg, "brute")
 
 
-def ternary_operation(rng: random.Random, elements, conservative: bool) -> Operation:
+def ternary_operation(rng: random.Random, carrier, conservative: bool) -> Operation:
+    elements = carrier.elements
     table = {args: args[rng.randrange(3)] if conservative else rng.choice(elements)
              for args in itertools.product(elements, repeat=3)}
-    return Operation("t", ("a", "b", "c"), table=table)
+    return op_from_rows(carrier, "t", ("a", "b", "c"), table)
 
 
 @settings(max_examples=30, deadline=None)
@@ -109,7 +110,8 @@ def test_backtrack_matches_brute_on_join_semilattices(generators, order):
     elements = [f"s{m}" for m in members]
     order.shuffle(elements)
     table = {(f"s{a}", f"s{b}"): f"s{a | b}" for a in members for b in members}
-    alg = Algebra("join", Carrier(tuple(elements)), (Operation("join", ("l", "r"), table=table),))
+    carrier = Carrier(tuple(elements))
+    alg = Algebra("join", carrier, (op_from_rows(carrier, "join", ("l", "r"), table),))
     assert enumerate_endomorphisms(alg, "backtrack") == enumerate_endomorphisms(alg, "brute")
 
 
@@ -167,7 +169,7 @@ def test_plan_consumes_every_row_once(semilattice2, semilattice3, boolean, trivi
     algebras = [semilattice2[0], semilattice3[0], boolean[0], trivial[0], max_chain(rng, 6)]
     for _ in range(12):
         alg, _frame = random_algebra(rng, max_size=4)
-        ternary = ternary_operation(rng, alg.carrier.elements, rng.random() < 0.5)
+        ternary = ternary_operation(rng, alg.carrier, rng.random() < 0.5)
         algebras.append(Algebra(alg.name, alg.carrier, alg.ops + (ternary,)))
     for alg in algebras:
         n = len(alg.carrier)
@@ -187,7 +189,8 @@ def max_chain(rng: random.Random, n: int) -> Algebra:
     elements = tuple(f"c{i}" for i in range(n))
     table = {(a, b): a if height[i] >= height[j] else b
              for i, a in enumerate(elements) for j, b in enumerate(elements)}
-    return Algebra("chain", Carrier(elements), (Operation("max", ("l", "r"), table=table),))
+    carrier = Carrier(elements)
+    return Algebra("chain", carrier, (op_from_rows(carrier, "max", ("l", "r"), table),))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -332,7 +335,7 @@ def test_commutation_checker_matches_oracle(semilattice2, boolean):
         defect = commutation_checker(rep)
         # every map A -> A: the members and every non-member
         for values in itertools.product(range(len(carrier)), repeat=len(carrier)):
-            h = UnaryMap(carrier, tuple(carrier.elements[v] for v in values))
+            h = UnaryMap(carrier, values)
             found = defect(values)
             assert (found is None) == (conjugate_commutation_defect(rep, h) is None)
             assert found == _first_defect(rep, h)

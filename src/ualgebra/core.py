@@ -144,12 +144,19 @@ class FunctionTable:
 
     @classmethod
     def from_rows(cls, carrier: Carrier, rank: Rank, rows) -> "FunctionTable":
-        """The table of (args, value) rows of element names, or of a dict from
-        args to value; a row of the wrong shape, a missing or a repeated row
-        raises AlgebraError."""
+        """The table of (args, value) pairs of element names. Repeated args, a
+        row count other than n**len(rank), a row of the wrong arity and a name
+        outside the carrier raise AlgebraError, in that order; the counts are
+        compared first, so the codes are never longer than the rows given."""
+        rows = list(rows)
+        if len({args for args, _value in rows}) != len(rows):
+            raise AlgebraError("duplicate table rows")
+        expected = len(carrier) ** len(rank)
+        if len(rows) != expected:
+            raise AlgebraError(f"partial table ({len(rows)} of {expected} rows)")
         index = carrier.index
-        codes: list = [None] * len(carrier) ** len(rank)
-        for args, value in rows.items() if isinstance(rows, dict) else rows:
+        codes = [0] * expected
+        for args, value in rows:
             if len(args) != len(rank):
                 raise AlgebraError(f"bad row arity {args}")
             code = 0
@@ -159,12 +166,7 @@ class FunctionTable:
                 code = code * len(carrier) + index[a]
             if value not in index:
                 raise AlgebraError(f"value outside carrier: {value}")
-            if codes[code] is not None:
-                raise AlgebraError("duplicate table rows")
             codes[code] = index[value]
-        if None in codes:
-            filled = len(codes) - codes.count(None)
-            raise AlgebraError(f"partial table ({filled} of {len(codes)} rows)")
         return cls(carrier, rank, tuple(codes))
 
     def __call__(self, args: tuple) -> str:

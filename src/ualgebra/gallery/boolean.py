@@ -31,10 +31,10 @@ def build_boolean_example() -> tuple[Algebra, Frame]:
     carrier = Carrier(_ELEMENTS)
     ops = (
         Operation("meet", ("l", "r"), table=FunctionTable.from_rows(
-            carrier, ("l", "r"), {(a, b): _meet(a, b) for a in _ELEMENTS for b in _ELEMENTS})),
+            carrier, ("l", "r"), [((a, b), _meet(a, b)) for a in _ELEMENTS for b in _ELEMENTS])),
         Operation("neg", ("a",), table=FunctionTable.from_rows(
-            carrier, ("a",), {(a,): _NEG[a] for a in _ELEMENTS})),
-        Operation("bot", (), table=FunctionTable.from_rows(carrier, (), {(): BOT})),
+            carrier, ("a",), [((a,), _NEG[a]) for a in _ELEMENTS])),
+        Operation("bot", (), table=FunctionTable.from_rows(carrier, (), [((), BOT)])),
     )
     alg = Algebra("free-boolean-1", carrier, ops)
     frame = Frame(("*",), {"*": X})

@@ -36,10 +36,10 @@ def build_powerset_semilattice(ground) -> tuple[Algebra, Frame]:
     carrier = Carrier(tuple(names[s] for s in subsets))
 
     ops = (
-        Operation("0", (), table=FunctionTable.from_rows(carrier, (), {(): names[frozenset()]})),
+        Operation("0", (), table=FunctionTable.from_rows(carrier, (), [((), names[frozenset()])])),
         Operation("union", ("l", "r"), table=FunctionTable.from_rows(
-            carrier, ("l", "r"), {(names[a], names[b]): names[a | b]
-                                  for a in subsets for b in subsets})),
+            carrier, ("l", "r"), [((names[a], names[b]), names[a | b])
+                                  for a in subsets for b in subsets])),
     )
     alg = Algebra(f"powerset-semilattice-{len(ground)}", carrier, ops)
     frame = Frame(ground, {x: names[frozenset({x})] for x in ground})

@@ -9,7 +9,7 @@ from ualgebra.representation import Frame
 
 def op_from_rows(carrier: Carrier, symbol: str, rank: tuple, rows) -> Operation:
     """A tabulated operation from a dict of element-name rows."""
-    return Operation(symbol, rank, table=FunctionTable.from_rows(carrier, rank, rows))
+    return Operation(symbol, rank, table=FunctionTable.from_rows(carrier, rank, rows.items()))
 
 
 @pytest.fixture(scope="session")

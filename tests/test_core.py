@@ -92,6 +92,19 @@ def test_partial_table_rejected():
         algebra_from_dict(doc)
 
 
+@pytest.mark.parametrize("labels", [3, 40, 1000])
+def test_long_rank_with_short_table_fails_on_the_count(labels):
+    """The row count is checked before a table of n**rank codes is built, so
+    a short document with a long rank fails at once."""
+    doc = {
+        "elements": ["a", "b"],
+        "operations": [{"symbol": "f", "rank": [f"x{i}" for i in range(labels)],
+                        "table": [{"args": ["a"] * labels, "value": "zz"}]}],
+    }
+    with pytest.raises(AlgebraError, match=rf"operation f: partial table \(1 of {2**labels} rows\)"):
+        algebra_from_dict(doc)
+
+
 def test_eval_total_over_all_assignments(semilattice2, boolean):
     for alg, _frame in (semilattice2, boolean):
         for f in alg.ops:

@@ -73,7 +73,7 @@ def cmd_basis(args) -> dict:
     if rep.failure:
         report["failure"] = {
             "reason": rep.failure["reason"],
-            "matrix": list(rep.failure["matrix"]),
+            "matrix": [alg.carrier.elements[a] for a in rep.failure["matrix"]],
         }
     ok = check["biconditional_ok"] and check.get("e_chi_equals_e_alpha", True) \
         and check.get("chi_routes_agree", True)
@@ -91,7 +91,7 @@ def cmd_dilatations(args) -> dict:
     analysis = analyze_dilatations(rep, guard=args.guard_tables)
     report = {
         "delta_size": len(analysis.delta),
-        "indicator_count": len(analysis.D),
+        "indicator_count": len(analysis.gamma),
         "full": analysis.full,
         "routes_agree": analysis.routes_agree,
     }
@@ -106,7 +106,7 @@ def cmd_dilatations(args) -> dict:
                 json.dump(monoid_to_dict(monoid), fh, indent=2, sort_keys=True)
                 fh.write("\n")
     check = check_fullness_pipeline(alg, frame, rep=rep, samples=args.samples, seed=args.seed,
-                                    analysis=analysis)
+                                    analysis=analysis, endowed=(monoid, info))
     report["fullness_pipeline"] = check["status"]
     ok = analysis.routes_agree and check["status"] == "pass" \
         and report.get("distributivities", "pass") == "pass"
@@ -117,6 +117,8 @@ def cmd_dilatations(args) -> dict:
 def cmd_commutative(args) -> dict:
     alg = _load_algebra(args)
     frame = load_frame(args.frame) if args.frame else None
+    if frame is not None:
+        frame.codes(alg.carrier)  # a frame outside the carrier fails before any check
     commutative, reports = is_commutative(alg, samples=args.samples, seed=args.seed)
     report = {
         "commutative": commutative,
@@ -131,12 +133,11 @@ def cmd_commutative(args) -> dict:
         # a closure never checked to the end is not a pass
         report["status"] = cc["status"]
     if frame is not None:
-        rep = build_representation(alg, frame)
         if not commutative:
             # as for closure_commutation: the claim is about commutative algebras
             report["conjugate_commutation"] = "skipped"
         else:
-            cor = check_conjugate_commutation(rep)
+            cor = check_conjugate_commutation(build_representation(alg, frame))
             report["conjugate_commutation"] = cor["status"]
             if cor["status"] == "fail":
                 report["status"] = "fail"
@@ -170,7 +171,7 @@ def cmd_gallery(args) -> dict:
             "endo_count": len(rep.endos),
             "commutative": commutative,
             "delta_size": len(analysis.delta),
-            "indicators": sorted(analysis.D),
+            "indicators": sorted(alg.carrier.elements[d] for d in analysis.gamma),
             "full": analysis.full,
         }
     if name == "integers":

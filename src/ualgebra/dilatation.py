@@ -4,7 +4,8 @@ A dilatation is an endomorphism that is also a rank-less elementary
 function.  An element d indicates the dilatation obtained by equalizing the
 arguments of its conjugate function; when every element is an indicator the
 carrier is full and the dilatation generator transports the parent
-operations onto the dilatation set.
+operations onto the dilatation set.  Elements are carrier indices throughout;
+the indicator names appear only in the reports built from an analysis.
 """
 
 from __future__ import annotations
@@ -22,18 +23,12 @@ from .representation import Frame, Representation, build_representation
 class DilatationAnalysis:
     rep: Representation = field(compare=False)
     delta: frozenset[UnaryMap]
-    indicators: dict[UnaryMap, frozenset[str]] = field(compare=False)
-    gamma: dict[str, UnaryMap] = field(compare=False)
+    # delta member -> the carrier indices of the elements indicating it
+    indicators: dict[UnaryMap, frozenset[int]] = field(compare=False)
+    # carrier index of an indicator d -> the dilatation it indicates
+    gamma: dict[int, UnaryMap] = field(compare=False)
     full: bool = False
     routes_agree: bool = True
-
-    @property
-    def D(self) -> frozenset[str]:
-        return frozenset(self.gamma)
-
-    def non_indicators(self) -> list[str]:
-        carrier = self.rep.algebra.carrier
-        return [a for a in carrier.elements if a not in self.gamma]
 
 
 def analyze_dilatations(rep: Representation, guard: int = DEFAULT_GUARD) -> DilatationAnalysis:
@@ -50,8 +45,8 @@ def analyze_dilatations(rep: Representation, guard: int = DEFAULT_GUARD) -> Dila
     carrier = alg.carrier
     delta = frozenset(rankless(alg, guard=guard) & rep.endos)
 
-    gamma: dict[str, UnaryMap] = {}
-    for d, chi_d in rep.conjugates.items():
+    gamma: dict[int, UnaryMap] = {}
+    for d, chi_d in enumerate(rep.conjugates):
         # a nullary conjugate (the empty frame) equalizes to its constant value
         candidate = (chi_d.equalize() if chi_d.rank
                      else UnaryMap(carrier, chi_d.codes * len(carrier)))
@@ -119,7 +114,8 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
     info["inherited"] = inherited
 
     if not analysis.full:
-        info["non_indicators"] = analysis.non_indicators()
+        info["non_indicators"] = [a for d, a in enumerate(carrier.elements)
+                                  if d not in analysis.gamma]
         return None, info
 
     unit = pos[identity_map(carrier)]
@@ -132,7 +128,7 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
             raise AlgebraError(f"image of {f.symbol} escapes the dilatation set")
 
     # the generator must be a homomorphism onto every image operation
-    gamma = [pos[analysis.gamma[a]] for a in carrier.elements]  # by carrier index
+    gamma = [pos[analysis.gamma[a]] for a in range(n)]
     op_tables = dict((s, t) for s, _r, t in image_ops)
     for f in alg.ops:
         table = op_tables[f.symbol]
@@ -170,12 +166,14 @@ def check_distributivities(monoid: EndowedMonoid, analysis: DilatationAnalysis) 
 
 def check_fullness_pipeline(alg: Algebra, frame: Frame, rep: Representation | None = None,
                       samples: int = 1000, seed: int = 0,
-                      analysis: DilatationAnalysis | None = None) -> dict:
+                      analysis: DilatationAnalysis | None = None,
+                      endowed: tuple[EndowedMonoid | None, dict] | None = None) -> dict:
     """Commutative based algebras are dilatation full with an endowed monoid.
 
     Its ``full`` field reports the underlying mechanism: every equalized
     conjugate is an endomorphism.  ``analysis`` reuses the caller's
-    dilatation analysis of ``rep``.
+    dilatation analysis of ``rep``, and ``endowed`` the caller's
+    ``build_endowed_monoid(analysis)``.
     """
     if rep is None:
         rep = build_representation(alg, frame)
@@ -194,7 +192,7 @@ def check_fullness_pipeline(alg: Algebra, frame: Frame, rep: Representation | No
         out["status"] = "pass"  # nothing to assert; record the contrapositive facts
         return out
 
-    monoid, info = build_endowed_monoid(analysis)
+    monoid, info = endowed or build_endowed_monoid(analysis)
     out["monoid_built"] = monoid is not None
     out["monoid_info"] = info
     ok = analysis.full and monoid is not None

@@ -3,7 +3,8 @@
 An elementary function is anything reachable from the projections by
 composing with the algebra's operations.  Each one kept by the closure
 carries a witness term: ("proj", x) leaves and ("op", symbol, children)
-nodes, children ordered by the operation's rank.
+nodes, children ordered by the operation's rank.  The single-generator
+decision reads its answer off the elementary closure of the frame's arity.
 """
 
 from __future__ import annotations
@@ -156,26 +157,27 @@ def subuniverse_with_terms(alg: Algebra, seeds: dict[int, Term]) -> dict[int, Te
     return {a: term for (a,), term in members.items()}
 
 
-def generated_subuniverse(alg: Algebra, frame) -> set[str]:
-    """Everything reachable from the frame's range; equals the carrier iff
+def generated_subuniverse(alg: Algebra, frame) -> frozenset[int]:
+    """The carrier indices reachable from the frame's range; all of them iff
     the frame is a generator."""
-    seeds = {alg.carrier.index[frame.U[x]]: ("proj", x) for x in frame.X}
-    return {alg.carrier.elements[a] for a in subuniverse_with_terms(alg, seeds)}
+    seeds = {u: ("proj", x) for x, u in zip(frame.X, frame.codes(alg.carrier))}
+    return frozenset(subuniverse_with_terms(alg, seeds))
 
 
 @dataclass(frozen=True)
 class GeneratorResult:
     """Outcome of the single-generator construction for a frame.
 
-    status is "ok", "not-generator" or "not-independent".  On success ``chi``
-    maps each element to its elementary function of the frame's arity.  On
-    independence failure ``witness`` holds two elementary functions with the
-    same value at the frame but different tables.
+    status is "ok", "not-generator" or "not-independent".  On success
+    ``chi[a]`` is the elementary function of the frame's arity for the
+    element of carrier index a; ``missing`` holds the indices not generated.
+    On independence failure ``witness`` holds two elementary functions with
+    the same value at the frame but different tables.
     """
 
     status: str
-    chi: dict[str, ElementaryFunction] | None = None
-    missing: frozenset[str] | None = None
+    chi: tuple[ElementaryFunction, ...] | None = None
+    missing: frozenset[int] | None = None
     witness: tuple[ElementaryFunction, ElementaryFunction] | None = None
 
     @property
@@ -186,41 +188,30 @@ class GeneratorResult:
 def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
     """Decide whether the frame admits a single elementary-function generator.
 
-    Instead of materializing the full closure (whose size is doubly
-    exponential), this closes pairs (value at U, value at M) inside A x A for
-    every matrix M: the pair subalgebra generated by the columns is exactly
-    the set of (l(U), l(M)) over elementary l, so independence is the absence
-    of a fork and the generator property is first-coordinate totality.
+    The X-ary elementary functions l are the closure of the projections, and
+    their values l(U) at the frame are the subuniverse that U's values
+    generate.  So the frame is a generator when that subuniverse is all of A,
+    and independent when no two functions agree at U; then chi_a is the one
+    function with value a at U.
     """
-    X = frame.X
-    carrier = alg.carrier
-    n = len(carrier)
-    U = [carrier.index[frame.U[x]] for x in X]
-    reach = subuniverse_with_terms(alg, {u: ("proj", x) for x, u in zip(X, U)})
+    n = len(alg.carrier)
+    reach = generated_subuniverse(alg, frame)
     if len(reach) < n:
-        return GeneratorResult("not-generator", missing=frozenset(
-            a for i, a in enumerate(carrier.elements) if i not in reach))
+        return GeneratorResult("not-generator", missing=frozenset(range(n)) - reach)
 
-    ops = _horner_tables(alg)
-    # chi_codes[a][c] is chi_a at the matrix M of Horner code c
-    chi_codes = [[0] * n ** len(X) for _ in range(n)]
-    for code, M in enumerate(itertools.product(range(n), repeat=len(X))):
-        seeds: dict[tuple[int, int], Term] = {}
-        for x, u, m in zip(X, U, M):
-            seeds.setdefault((u, m), ("proj", x))
-        pairs, _complete = _fixpoint(n, ops, seeds, 2)
-        by_first: dict[int, tuple[int, Term]] = {}
-        for (a, b), term in pairs.items():
-            if a in by_first and by_first[a][0] != b:
-                ell = ElementaryFunction(term_table(alg, by_first[a][1], X), by_first[a][1])
-                ell2 = ElementaryFunction(term_table(alg, term, X), term)
-                return GeneratorResult("not-independent", witness=(ell, ell2))
-            by_first.setdefault(a, (b, term))
-        for a, (b, _term) in by_first.items():
-            chi_codes[a][code] = b
-
-    chi = {
-        a: ElementaryFunction(FunctionTable(carrier, X, tuple(codes)), reach[i])
-        for i, (a, codes) in enumerate(zip(carrier.elements, chi_codes))
-    }
-    return GeneratorResult("ok", chi=chi)
+    # Guard n stops the closure early and safely: more than n members put two
+    # at one value at U (pigeonhole), and a round that starts with at most n
+    # members adds at most the sum of n**arity over the operations.
+    U = frame.codes(alg.carrier)
+    chi: dict[int, ElementaryFunction] = {}
+    for ef in elementary_closure(alg, frame.X, guard=n).functions:
+        a = ef.table.at(U)
+        if a in chi:
+            # the witness tables come from their terms, not from the closure
+            return GeneratorResult("not-independent", witness=tuple(
+                ElementaryFunction(term_table(alg, f.witness, frame.X), f.witness)
+                for f in (chi[a], ef)))
+        chi[a] = ef
+    # no two members agree at U, so the closure is complete and its values at
+    # U are the whole generated subuniverse: chi has every element
+    return GeneratorResult("ok", chi=tuple(chi[a] for a in range(n)))

@@ -2,7 +2,8 @@
 
 A frame U: X -> A samples every endomorphism h to the matrix h . U in A^X.
 When the sampling is a bijection both ways we invert it into the extension
-and tabulate the conjugate function of every element.
+and tabulate the conjugate function of every element.  Frames (``Frame.codes``),
+matrices and conjugates are in carrier indices; names return in report fields.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import (Algebra, AlgebraError, FunctionTable, GuardExceeded, Rank, UnaryMap,
-                   expect_json, expect_strings, make_rank, read_json)
+from .core import (Algebra, AlgebraError, Carrier, FunctionTable, GuardExceeded, Rank,
+                   UnaryMap, expect_json, expect_strings, make_rank, read_json)
 from .elementary import elementary_generator
 
 BRUTE_CAP = 100_000
 
-Matrix = tuple  # one carrier element per frame label, in frame order
+Matrix = tuple  # one carrier index per frame label, in frame order
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,13 @@ class Frame:
         if set(self.U) != set(self.X):
             raise AlgebraError("frame assignment does not match its index set")
 
-    def columns(self) -> Matrix:
-        return tuple(self.U[x] for x in self.X)
+    def codes(self, carrier: Carrier) -> Matrix:
+        """U's values as carrier indices, in X order; a value outside the
+        carrier raises AlgebraError."""
+        for x in self.X:
+            if self.U[x] not in carrier:
+                raise AlgebraError(f"frame value outside carrier: {self.U[x]}")
+        return tuple(carrier.index[self.U[x]] for x in self.X)
 
 
 def load_frame(path) -> Frame:
@@ -234,21 +240,21 @@ class Representation:
     bijective: bool = False
     failure: dict | None = field(default=None, compare=False)
     extension: dict[Matrix, UnaryMap] | None = field(default=None, compare=False)
-    conjugates: dict[str, FunctionTable] | None = field(default=None, compare=False)
+    # conjugates[a] is chi_a, the conjugate function of the element of index a
+    conjugates: tuple[FunctionTable, ...] | None = field(default=None, compare=False)
 
     def matrices(self):
-        return self.algebra.carrier.assignments(self.frame.X)
+        """Every matrix, in canonical (Horner) order."""
+        return itertools.product(range(len(self.algebra.carrier)), repeat=len(self.frame.X))
 
 
 def build_representation(alg: Algebra, frame: Frame, endos=None,
                          method: str = "backtrack") -> Representation:
     carrier = alg.carrier
-    for v in frame.U.values():
-        if v not in carrier:
-            raise AlgebraError(f"frame value outside carrier: {v}")
+    U = frame.codes(carrier)
     if endos is None:
         endos = enumerate_endomorphisms(alg, method=method)
-    sampling = {h: tuple(h(frame.U[x]) for x in frame.X) for h in endos}
+    sampling = {h: tuple(map(h.codes.__getitem__, U)) for h in endos}
 
     if not frame.X and len(carrier) > 1:
         # every endomorphism samples to the empty matrix, so only a one-point
@@ -269,15 +275,15 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
                                            "matrix": m,
                                            "endos": (by_matrix[m], h)})
         by_matrix[m] = h
-    unhit = [m for m in carrier.assignments(frame.X) if m not in by_matrix]
+    matrices = list(itertools.product(range(len(carrier)), repeat=len(frame.X)))
+    unhit = [m for m in matrices if m not in by_matrix]
     if unhit:
         return Representation(alg, frame, frozenset(endos), sampling,
                               failure={"reason": "not-surjective", "matrix": unhit[0]})
 
     # chi_a(M) = h_M(a): column a of the extension's maps in canonical order of M
-    images = [by_matrix[m].codes for m in carrier.assignments(frame.X)]
-    conjugates = {a: FunctionTable(carrier, frame.X, codes)
-                  for a, codes in zip(carrier.elements, zip(*images))}
+    images = [by_matrix[m].codes for m in matrices]
+    conjugates = tuple(FunctionTable(carrier, frame.X, codes) for codes in zip(*images))
     return Representation(alg, frame, frozenset(endos), sampling, bijective=True,
                           extension=by_matrix, conjugates=conjugates)
 
@@ -290,15 +296,14 @@ def commutation_checker(rep: Representation):
     None.  chi_.(M) is the vector (chi_a(M))_a, so this checks every pair
     h(chi_a(M)) = chi_a(h . M), one M at a time.
     """
-    carrier = rep.algebra.carrier
-    n = len(carrier)
+    n = len(rep.algebra.carrier)
     k = len(rep.frame.X)
     matrices = list(rep.matrices())
     # chi_.(M) for every M in canonical order, which is Horner-code order.
     # Each vector is a string of code points, so that str.translate applies h
     # and str.join gathers vectors element by element in C.
     vectors = ["".join(map(chr, column)) for column in
-               zip(*(rep.conjugates[a].codes for a in carrier.elements))]
+               zip(*(chi.codes for chi in rep.conjugates))]
     chi = "".join(vectors)
 
     def defect(values: tuple[int, ...]) -> Matrix | None:
@@ -330,8 +335,9 @@ def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | N
         "bijective": rep.bijective,
         "biconditional_ok": gen.exists == rep.bijective,
     }
+    carrier = alg.carrier
     if gen.status == "not-generator":
-        report["missing_elements"] = sorted(gen.missing)
+        report["missing_elements"] = sorted(carrier.elements[a] for a in gen.missing)
     if not (gen.exists and rep.bijective):
         if rep.failure:
             report["failure"] = rep.failure["reason"]
@@ -339,11 +345,9 @@ def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | N
 
     # the two routes must produce the same conjugate tables
     report["chi_routes_agree"] = all(
-        gen.chi[a].table == rep.conjugates[a] for a in alg.carrier.elements
-    )
+        chi.table == conjugate for chi, conjugate in zip(gen.chi, rep.conjugates))
 
     defect = commutation_checker(rep)
-    carrier = alg.carrier
     n = len(carrier)
     members = {h.codes for h in rep.endos}
     report["commutation_members_ok"] = all(defect(h) is None for h in members)

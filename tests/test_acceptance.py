@@ -154,7 +154,7 @@ def test_criterion_07_negative_example(boolean):
     ok = not commutative and witness is not None and "meet" in witness.pair \
         and "neg" in witness.pair
     analysis = analyze_dilatations(build_representation(alg, frame))
-    ok = ok and len(analysis.delta) == 1 and analysis.D == {"x"}
+    ok = ok and len(analysis.delta) == 1 and set(analysis.gamma) == {alg.carrier.index["x"]}
     ok = ok and not analysis.full
     monoid, _info = build_endowed_monoid(analysis)
     ok = ok and monoid is None

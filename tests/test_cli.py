@@ -236,13 +236,40 @@ def test_gallery_semilattice_size_out_of_range():
         assert "1..4" in out["report"]["error"]
 
 
-def test_commutative_frame_skipped_when_not_commutative():
+def test_commutative_frame_skipped_when_not_commutative(monkeypatch):
+    # the conjugate check is skipped, so no endomorphism search runs for it
+    import ualgebra.cli
+    calls = _count_calls(monkeypatch, ualgebra.cli, "build_representation")
     out, code = run(["commutative", str(FIXTURES / "boolean.json"),
                      "--frame", str(FIXTURES / "boolean_frame.json")])
     assert code == 0
     body = out["report"]
     assert not body["commutative"] and body["status"] == "pass"
     assert body["conjugate_commutation"] == "skipped"
+    assert calls == []
+
+
+def test_dilatations_builds_the_monoid_once(monkeypatch):
+    import ualgebra.cli
+    import ualgebra.dilatation
+    calls = _count_calls(monkeypatch, ualgebra.cli, "build_endowed_monoid")
+    _count_calls(monkeypatch, ualgebra.dilatation, "build_endowed_monoid", calls)
+    out, code = run(["dilatations", str(FIXTURES / "semilattice3.json"),
+                     str(FIXTURES / "semilattice3_frame.json")])
+    assert code == 0 and out["report"]["fullness_pipeline"] == "pass"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["basis", str(FIXTURES / "boolean.json")],
+    ["dilatations", str(FIXTURES / "boolean.json")],
+    ["commutative", str(FIXTURES / "boolean.json"), "--frame"],
+    ["commutative", str(FIXTURES / "semilattice2.json"), "--frame"],
+], ids=["basis", "dilatations", "commutative-boolean", "commutative-semilattice2"])
+def test_frame_outside_carrier_fails(tmp_path, command):
+    doc = {"X": ["x"], "U": [{"index": "x", "value": "nope"}]}
+    body = _run_with(tmp_path, doc, lambda p: [*command, p])
+    assert body["error"] == "frame value outside carrier: nope"
 
 
 def _run_with(tmp_path, doc, argv_of) -> dict:

@@ -27,16 +27,17 @@ def test_semilattice_delta(semilattice_analysis, semilattice2):
         {identity_map(carrier), constant_map(carrier, "{}")})
     assert semilattice_analysis.full
     assert semilattice_analysis.routes_agree
-    assert semilattice_analysis.D == set(carrier.elements)
+    assert set(semilattice_analysis.gamma) == set(range(len(carrier)))
 
 
 def test_semilattice_indicators(semilattice_analysis, semilattice2):
     alg, _frame = semilattice2
     carrier = alg.carrier
     ind = semilattice_analysis.indicators
+    idx = carrier.index
     # the empty set indicates the constant collapse, everything else the identity
-    assert ind[constant_map(carrier, "{}")] == {"{}"}
-    assert ind[identity_map(carrier)] == {"{x}", "{y}", "{x,y}"}
+    assert ind[constant_map(carrier, "{}")] == {idx["{}"]}
+    assert ind[identity_map(carrier)] == {idx["{x}"], idx["{y}"], idx["{x,y}"]}
 
 
 def test_two_routes_agree_in_general(semilattice2, semilattice3, trivial):
@@ -93,8 +94,7 @@ def test_boolean_not_full(boolean):
     alg, frame = boolean
     analysis = analyze_dilatations(build_representation(alg, frame))
     assert not analysis.full
-    assert analysis.D == {"x"}
-    assert analysis.non_indicators() == ["bot", "notx", "top"]
+    assert set(analysis.gamma) == {alg.carrier.index["x"]}
     monoid, info = build_endowed_monoid(analysis)
     assert monoid is None
     assert info["non_indicators"] == ["bot", "notx", "top"]

@@ -2,13 +2,16 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import op_from_rows, random_algebra
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
-from ualgebra.core import Algebra, Carrier
+from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable
 from ualgebra.elementary import (
+    ElementaryFunction,
+    GeneratorResult,
     _fixpoint,
     _horner_tables,
     elementary_closure,
@@ -250,31 +253,43 @@ def test_rankless_only_nullary():
     assert {m.values for m in maps} == {("a", "b"), ("b", "b")}
 
 
+def names_of(alg, indices) -> set[str]:
+    return {alg.carrier.elements[a] for a in indices}
+
+
 def test_generated_subuniverse(semilattice2, boolean):
     alg, frame = semilattice2
-    assert generated_subuniverse(alg, frame) == set(alg.carrier.elements)
+    assert names_of(alg, generated_subuniverse(alg, frame)) == set(alg.carrier.elements)
     # the top-less singleton frame misses the atoms
     small = Frame(("u",), {"u": "{x,y}"})
-    assert generated_subuniverse(alg, small) == {"{}", "{x,y}"}
+    assert names_of(alg, generated_subuniverse(alg, small)) == {"{}", "{x,y}"}
     balg, bframe = boolean
-    assert generated_subuniverse(balg, bframe) == set(balg.carrier.elements)
+    assert names_of(balg, generated_subuniverse(balg, bframe)) == set(balg.carrier.elements)
     # an empty frame reaches only the nullary closure
     empty = Frame((), {})
-    assert generated_subuniverse(alg, empty) == {"{}"}
+    assert names_of(alg, generated_subuniverse(alg, empty)) == {"{}"}
+
+
+def test_frame_outside_carrier_fails(semilattice2):
+    alg, _frame = semilattice2
+    frame = Frame(("x",), {"x": "nope"})
+    for decide in (elementary_generator, generated_subuniverse):
+        with pytest.raises(AlgebraError, match="frame value outside carrier: nope"):
+            decide(alg, frame)
 
 
 def test_generator_semilattice(semilattice2):
     alg, frame = semilattice2
     result = elementary_generator(alg, frame)
     assert result.exists
-    top = result.chi["{x,y}"]
+    top = result.chi[alg.carrier.index["{x,y}"]]
     for M in alg.carrier.assignments(frame.X):
         union = alg.op("union")
         assert top.table(M) == union(M)
     # the defining identity: chi at l(U) coincides with l, for every elementary l
     closure = elementary_closure(alg, frame.X)
     for ef in closure.functions:
-        at_frame = ef.table(frame.columns())
+        at_frame = ef.table.at(frame.codes(alg.carrier))
         assert result.chi[at_frame].table == ef.table
 
 
@@ -282,14 +297,15 @@ def test_generator_boolean(boolean):
     alg, frame = boolean
     result = elementary_generator(alg, frame)
     assert result.exists
-    assert result.chi["top"].table == constant_fn(alg.carrier, "top", frame.X)
+    top = result.chi[alg.carrier.index["top"]]
+    assert top.table == constant_fn(alg.carrier, "top", frame.X)
 
 
 def test_not_generator_diagnosis(semilattice2):
     alg, _frame = semilattice2
     result = elementary_generator(alg, Frame(("u",), {"u": "{x,y}"}))
     assert result.status == "not-generator"
-    assert result.missing == {"{x}", "{y}"}
+    assert names_of(alg, result.missing) == {"{x}", "{y}"}
 
 
 def test_not_independent_diagnosis():
@@ -336,11 +352,69 @@ def test_subuniverse_terms_evaluate_to_members(seed):
     """Each generated element's term, evaluated at the frame, gives that
     element, and the generated set is closed under every operation."""
     alg, frame = random_algebra(random.Random(seed), max_size=3)
-    idx = alg.carrier.index
-    reach = subuniverse_with_terms(alg, {idx[frame.U[x]]: ("proj", x) for x in frame.X})
-    names = {alg.carrier.elements[a] for a in reach}
+    U = frame.codes(alg.carrier)
+    reach = subuniverse_with_terms(alg, {u: ("proj", x) for x, u in zip(frame.X, U)})
+    names = names_of(alg, reach)
     for a, term in reach.items():
-        assert idx[term_table(alg, term, frame.X)(frame.columns())] == a
+        assert term_table(alg, term, frame.X).at(U) == a
     for g in alg.ops:
         for args in itertools.product(names, repeat=len(g.rank)):
             assert g(args) in names
+
+
+def pair_closure_generator(alg, frame) -> GeneratorResult:
+    """Oracle for ``elementary_generator``: for every matrix M, close the pairs
+    (U(x), M(x)) inside A x A.  That pair subalgebra is the set of
+    (l(U), l(M)) over elementary l, so two pairs with one first coordinate
+    are a fork (no single generator), and otherwise chi_a(M) is the second
+    coordinate of the pair starting with a."""
+    X, n = frame.X, len(alg.carrier)
+    U = frame.codes(alg.carrier)
+    reach = subuniverse_with_terms(alg, {u: ("proj", x) for x, u in zip(X, U)})
+    if len(reach) < n:
+        return GeneratorResult("not-generator", missing=frozenset(range(n)) - reach.keys())
+    ops = _horner_tables(alg)
+    chi_codes = [[0] * n ** len(X) for _ in range(n)]
+    for code, M in enumerate(itertools.product(range(n), repeat=len(X))):
+        seeds = {}
+        for x, u, m in zip(X, U, M):
+            seeds.setdefault((u, m), ("proj", x))
+        pairs, _complete = _fixpoint(n, ops, seeds, 2)
+        by_first = {}
+        for (a, b), term in pairs.items():
+            if a in by_first and by_first[a][0] != b:
+                return GeneratorResult("not-independent", witness=tuple(
+                    ElementaryFunction(term_table(alg, t, X), t) for t in (by_first[a][1], term)))
+            by_first.setdefault(a, (b, term))
+        for a, (b, _term) in by_first.items():
+            chi_codes[a][code] = b
+    return GeneratorResult("ok", chi=tuple(
+        ElementaryFunction(FunctionTable(alg.carrier, X, tuple(codes)), reach[a])
+        for a, codes in enumerate(chi_codes)))
+
+
+@pytest.mark.parametrize("max_size", [4, 5])
+def test_generator_matches_pair_closures(max_size):
+    """The one guarded closure decides as the n**k pair closures do, on 200
+    random algebras per carrier bound."""
+    rng = random.Random(max_size)
+    statuses = []
+    for _ in range(200):
+        alg, frame = random_algebra(rng, max_size=max_size)
+        U = frame.codes(alg.carrier)
+        result, expected = elementary_generator(alg, frame), pair_closure_generator(alg, frame)
+        statuses.append(result.status)
+        assert result.status == expected.status
+        assert result.missing == expected.missing
+        if result.exists:
+            assert [ef.table for ef in result.chi] == [ef.table for ef in expected.chi]
+            for ef in result.chi:
+                assert term_table(alg, ef.witness, frame.X) == ef.table
+        if result.status == "not-independent":
+            ell, ell2 = result.witness
+            assert ell.table.at(U) == ell2.table.at(U)
+            assert ell.table != ell2.table
+            for ef in result.witness:
+                assert term_table(alg, ef.witness, frame.X) == ef.table
+    # every outcome is exercised
+    assert {"ok", "not-generator", "not-independent"} <= set(statuses)

@@ -63,7 +63,7 @@ def test_eta_formula_matches_generic_extension(semilattice2, semilattice3):
         rep = build_representation(alg, frame)
         assert rep.bijective
         for M in rep.matrices():
-            as_dict = dict(zip(ground, M))
+            as_dict = dict(zip(ground, (alg.carrier.elements[v] for v in M)))
             h = rep.extension[M]
             for a in alg.carrier.elements:
                 assert h(a) == semilattice_eta(as_dict, ground, a)

@@ -92,7 +92,8 @@ def ops_commute(f, g, carrier=None, sampler=None, samples: int = 1000,
 
     rng = random.Random(seed)
     mode = f"sampled:{samples}:seed={seed}"
-    for _ in range(samples):
+    # with f or g nullary, m has no entries: every sample is the same point
+    for _ in range(samples if R and S else 1):
         m_rows = tuple(tuple(sampler(rng) for _ in S) for _ in R)
         bad = medial_check(f, g, m_rows)
         if bad is not None:

@@ -14,7 +14,7 @@ from ualgebra.commutativity import (
     medial_check,
     ops_commute,
 )
-from ualgebra.core import Algebra, Carrier
+from ualgebra.core import Algebra, Carrier, Operation
 from ualgebra.elementary import elementary_closure
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import build_representation
@@ -169,6 +169,35 @@ def test_sampled_rule_based_commutativity():
     ok, reports = is_commutative(alg, samples=200, seed=1)
     assert ok
     assert all(r.mode.startswith("sampled") for r in reports)
+
+
+def test_nullary_pair_evaluates_its_point_once():
+    """With f or g nullary, m has no entries, so every sample is the same
+    point: the sampled check evaluates it once, and its mode still names the
+    requested sample count."""
+    calls = []
+
+    def counted(op):
+        return Operation(op.symbol, op.rank,
+                         fn=lambda *args: (calls.append(op.symbol), op.fn(*args))[1])
+
+    alg = pert_algebra(("a", "b", "c"))
+    zero, join, succ = map(counted, alg.ops)
+    one = counted(Operation("1", (), fn=lambda: 1))  # not fixed by the successor
+    plus_one = counted(Operation("s", ("a",), fn=lambda x: x + 1))
+    pairs = ((zero, zero), (zero, join), (join, zero), (zero, succ), (one, plus_one),
+             (plus_one, one))
+    for f, g in pairs:
+        calls.clear()
+        single = ops_commute(f, g, sampler=alg.sampler, samples=1, seed=4)
+        single_calls = sorted(calls)
+        calls.clear()
+        report = ops_commute(f, g, sampler=alg.sampler, samples=300, seed=4)
+        assert sorted(calls) == single_calls
+        assert report.mode == "sampled:300:seed=4"
+        assert (report.pair, report.holds, report.witness) == \
+            (single.pair, single.holds, single.witness)
+    assert not ops_commute(one, plus_one, samples=300).holds
 
 
 @settings(max_examples=150, deadline=None)

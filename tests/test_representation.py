@@ -1,34 +1,49 @@
+import dataclasses
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import op_from_rows, random_algebra
-from ualgebra.core import Algebra, AlgebraError, Carrier, Operation, UnaryMap
+from ualgebra import cli
+from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable, Operation, UnaryMap
+from ualgebra.gallery import build_boolean_example, build_powerset_semilattice
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import (
     Frame,
     _compile_plan,
     build_representation,
     commutation_checker,
+    endomorphism_generators,
     enumerate_endomorphisms,
     verify_basis_equivalence,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-def conjugate_commutation_defect(rep, h: UnaryMap):
+
+def named_conjugates(rep) -> list[dict]:
+    """Each chi_a as a dict from matrices to values, on element names, with
+    the matrices in canonical order."""
+    names = rep.algebra.carrier.elements
+    matrices = [tuple(names[v] for v in m) for m in rep.matrices()]
+    return [{m: chi(m) for m in matrices} for chi in rep.conjugates]
+
+
+def conjugate_commutation_defect(conjugates: list[dict], h: UnaryMap):
     """First (a, M) violating h(chi_a(M)) = chi_a(h . M), or None if none.
 
-    Element-at-a-time oracle for ``commutation_checker``, on element names.
+    Element-at-a-time oracle for ``commutation_checker``, on element names
+    (``conjugates`` from ``named_conjugates``).
     """
-    names = rep.algebra.carrier.elements
-    for a, chi_a in enumerate(rep.conjugates):
-        for m in rep.matrices():
-            m = tuple(names[v] for v in m)
-            if h(chi_a(m)) != chi_a(tuple(h(v) for v in m)):
+    image = dict(zip(h.carrier.elements, h.values)).__getitem__
+    for a, chi_a in enumerate(conjugates):
+        for m, value in chi_a.items():
+            if image(value) != chi_a[tuple(map(image, m))]:
                 return (a, m)
     return None
 
@@ -327,20 +342,159 @@ def _first_defect(rep, h: UnaryMap):
     return None
 
 
-def test_commutation_checker_matches_oracle(semilattice2, boolean):
-    reps = [build_representation(alg, frame) for alg, frame in (semilattice2, boolean)]
-    rng = random.Random(5)
-    while len(reps) < 8:
-        rep = build_representation(*random_algebra(rng, max_size=4))
+def bijective_random_reps() -> list:
+    """The bijective representations among 400 seeded random algebras."""
+    reps = []
+    for seed in range(400):
+        rep = build_representation(*random_algebra(random.Random(seed)))
         if rep.bijective:
             reps.append(rep)
+    return reps
+
+
+def check_defect(rep, defect, conjugates, values) -> tuple | None:
+    """``defect(values)`` against both oracles (``conjugates`` are the named
+    tables of ``rep``); returns it."""
+    h = UnaryMap(rep.algebra.carrier, values)
+    found = defect(values)
+    assert found == _first_defect(rep, h)
+    witness = conjugate_commutation_defect(conjugates, h)
+    assert (found is None) == (witness is None)
+    if witness is not None:
+        # the oracle runs a before M, so its M is at or after the first defective M
+        index = rep.algebra.carrier.index
+        assert tuple(index[v] for v in witness[1]) >= found
+    return found
+
+
+def with_conjugate_changed(rep, a: int, at: int, shift: int = 1):
+    """``rep`` with the code of chi_a at Horner code ``at`` moved by ``shift``."""
+    n = len(rep.algebra.carrier)
+    codes = list(rep.conjugates[a].codes)
+    codes[at] = (codes[at] + shift) % n
+    chi = FunctionTable(rep.algebra.carrier, rep.frame.X, tuple(codes))
+    return dataclasses.replace(rep, conjugates=rep.conjugates[:a] + (chi,) + rep.conjugates[a + 1:])
+
+
+def test_commutation_checker_matches_oracle(semilattice2, semilattice3, boolean):
+    reps = [build_representation(alg, frame) for alg, frame in (semilattice2, boolean)]
+    # a wrong code in the last block: the members' defects lie past the first block
+    mutated = with_conjugate_changed(reps[0], 1, 13)
+    reps += [mutated] + bijective_random_reps()
+    blocks = set()
     for rep in reps:
         carrier = rep.algebra.carrier
-        defect = commutation_checker(rep)
+        defect, conjugates = commutation_checker(rep), named_conjugates(rep)
         # every map A -> A: the members and every non-member
         for values in itertools.product(range(len(carrier)), repeat=len(carrier)):
-            h = UnaryMap(carrier, values)
-            found = defect(values)
-            assert (found is None) == (conjugate_commutation_defect(rep, h) is None)
-            assert found == _first_defect(rep, h)
-            assert (found is None) == (h in rep.endos)
+            found = check_defect(rep, defect, conjugates, values)
+            if rep is not mutated:
+                assert (found is None) == (UnaryMap(carrier, values) in rep.endos)
+            if found is not None:
+                blocks.add(found[0])
+    assert blocks == {0, 1, 2, 3}
+    # on semilattice3, 2000 seeded maps: uniform ones, and members with one value changed
+    rep = build_representation(*semilattice3)
+    defect, conjugates = commutation_checker(rep), named_conjugates(rep)
+    rng = random.Random(9)
+    members = sorted(h.codes for h in rep.endos)
+    for i in range(2000):
+        if i % 2:
+            values = [rng.randrange(8) for _ in range(8)]
+        else:
+            values = list(rng.choice(members))
+            at = rng.randrange(8)
+            values[at] = (values[at] + rng.randrange(1, 8)) % 8
+        found = check_defect(rep, defect, conjugates, tuple(values))
+        assert (found is None) == (tuple(values) in members)
+
+
+def all_members_ok(rep) -> bool:
+    """The members half of E_chi = E_alpha on every endomorphism: the oracle
+    for the check on a generating set."""
+    defect = commutation_checker(rep)
+    return all(defect(h.codes) is None for h in rep.endos)
+
+
+def monoid_closure(maps, n: int) -> set:
+    """Every composite of ``maps`` (the identity included), by naive rounds."""
+    closure = {tuple(range(n))}
+    while True:
+        grown = closure | {tuple(f[v] for v in g) for f in closure for g in maps}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def greedy_generators(members: set, n: int) -> list:
+    """The greedy generating set by its definition, on naive closures."""
+    generators: list = []
+    closure = monoid_closure(generators, n)
+    for h in sorted(members, key=lambda h: (-len(set(h)), h)):
+        if h not in closure:
+            generators.append(h)
+            closure = monoid_closure(generators, n)
+    return generators
+
+
+def semilattice_reps() -> list:
+    examples = [build_powerset_semilattice("xyz"[:size]) for size in (1, 2, 3)]
+    examples.append(build_boolean_example())
+    return [build_representation(alg, frame) for alg, frame in examples]
+
+
+def test_members_on_generators_match_all_members():
+    reps = semilattice_reps() + bijective_random_reps()
+    assert len(reps) > 20
+    sizes = []
+    for rep in reps:
+        alg, carrier = rep.algebra, rep.algebra.carrier
+        members = {h.codes for h in rep.endos}
+        generators = endomorphism_generators(members, carrier)
+        assert monoid_closure(generators, len(carrier)) == members
+        assert generators == greedy_generators(members, len(carrier))
+        report = verify_basis_equivalence(alg, rep.frame, rep=rep)
+        assert report["commutation_members_ok"] == all_members_ok(rep)
+        sizes.append(len(generators))
+    assert sizes[2] == 5  # semilattice3
+
+
+def test_members_routes_agree_on_a_mutated_conjugate():
+    # one code of one conjugate changed: both routes see the same wrong tables
+    rng = random.Random(23)
+    reps = semilattice_reps()
+    mutated = []
+    for rep in reps + bijective_random_reps():
+        n = len(rep.algebra.carrier)
+        if n > 1:
+            mutated.append(with_conjugate_changed(rep, rng.randrange(n),
+                                                  rng.randrange(n ** len(rep.frame.X)),
+                                                  rng.randrange(1, n)))
+    # on semilattice3, chi_{x} sends the all-{} matrix to {x,y,z}: every
+    # automorphism still commutes, since it fixes both, but the constant {} does not
+    mutated.append(with_conjugate_changed(reps[2], 1, 0, 7))
+    verdicts = []
+    for rep in mutated:
+        report = verify_basis_equivalence(rep.algebra, rep.frame, rep=rep)
+        assert report["commutation_members_ok"] == all_members_ok(rep)
+        verdicts.append(report["commutation_members_ok"])
+    assert not verdicts[-1] and True in verdicts
+
+
+def test_generators_leaving_the_endomorphisms_fail(semilattice3, monkeypatch):
+    # semilattice3's representation with one endomorphism, not a generator, dropped
+    rep = build_representation(*semilattice3)
+    generators = endomorphism_generators({h.codes for h in rep.endos}, rep.algebra.carrier)
+    dropped = next(h for h in sorted(rep.endos, key=lambda h: h.codes)
+                   if h.codes not in generators and not h.is_identity())
+    rep = dataclasses.replace(rep, endos=rep.endos - {dropped})
+    with pytest.raises(AlgebraError, match="not closed under composition"):
+        verify_basis_equivalence(rep.algebra, rep.frame, rep=rep)
+    # through the CLI, a structured fail without commutation_members_ok
+    monkeypatch.setattr(cli, "build_representation", lambda alg, frame: rep)
+    out, code = cli.run(["basis", str(FIXTURES / "semilattice3.json"),
+                         str(FIXTURES / "semilattice3_frame.json")])
+    assert code == 1
+    assert out["report"]["status"] == "fail"
+    assert "not closed under composition" in out["report"]["error"]
+    assert "basis_equivalence" not in out["report"]

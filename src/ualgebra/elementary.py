@@ -9,6 +9,7 @@ decision reads its answer off the elementary closure of the frame's arity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -54,6 +55,9 @@ def _horner_tables(alg: Algebra) -> list[tuple[str, int, list[int]]]:
     return [(g.symbol, len(t.rank), list(t.codes)) for g, t in zip(alg.ops, alg.tables)]
 
 
+CODE_POINTS = 256  # a power of at most this many points is closed in byte codes
+
+
 def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
               width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
     """Subuniverse of A^width generated by the seed vectors, over carrier indices.
@@ -61,14 +65,28 @@ def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, 
     Operations act coordinatewise through their Horner tables (``n`` is the
     carrier size).  Round by round, each operation is applied to combinations
     of the members in lexicographic order of their positions, and the first
-    term reaching each new vector is kept, so witnesses have minimal depth.  A round evaluates only the combinations
-    with an argument among the previous round's new members: any other was
-    evaluated a round earlier and its value is already a member.  So nullary
-    operations run in the first round only, and the last slot is restricted
-    to the new members when no earlier slot holds one.  Before each round a
-    member count over ``guard`` stops the closure with the partial set
-    flagged incomplete.
+    term reaching each new vector is kept, so witnesses have minimal depth.  A
+    round evaluates only the combinations with an argument among the previous
+    round's new members: any other was evaluated a round earlier and its value
+    is already a member.  So nullary operations run in the first round only,
+    and the last slot is restricted to the new members when no earlier slot
+    holds one.  Before each round a member count over ``guard`` stops the
+    closure with the partial set flagged incomplete.
+
+    Two kernels compute it with identical results.  When A^width has at most
+    CODE_POINTS points, every member fits one byte and ``_code_fixpoint``
+    runs; otherwise ``_column_fixpoint``.  The power n**width is only formed
+    for width <= 8, which a carrier of two or more elements needs to fit.
     """
+    fits = width <= 8 and n ** width <= CODE_POINTS
+    return (_code_fixpoint if fits else _column_fixpoint)(n, ops, seeds, width, guard)
+
+
+def _column_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
+                     width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
+    """``_fixpoint`` over member vectors, evaluating a head's whole last-slot
+    block a coordinate at a time: coordinate c of the members is a column,
+    mapped through the table row that the head selects at c."""
     members = dict(seeds)
     order = list(members)
     columns = [[v[c] for v in order] for c in range(width)]
@@ -109,6 +127,77 @@ def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, 
         if len(order) == end:
             return members, True
         first, start = False, end
+
+
+@functools.cache  # at most one entry per (n, width) with n**width <= CODE_POINTS
+def _code_tables(n: int, width: int) -> tuple[tuple[tuple, ...], tuple[int, ...],
+                                              tuple[bytes, ...]]:
+    """The vector of each code, the Horner weight of each coordinate, and for
+    each coordinate c the digit c of every code, in code order."""
+    points = tuple(itertools.product(range(n), repeat=width))
+    weights = tuple(n ** (width - 1 - c) for c in range(width))
+    return points, weights, tuple(bytes(v[c] for v in points) for c in range(width))
+
+
+def _code_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
+                   width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
+    """``_fixpoint`` for A^width of at most CODE_POINTS points, each member
+    held as one byte, the Horner code of its vector, in a bytearray of the
+    member codes in order.
+
+    For a head, a lifted table maps each code to the code of the value with
+    that member in the last slot, so ``block.translate(lift)`` evaluates a
+    whole last-slot block and ``translate(None, codes)`` leaves the values
+    that are not members yet.  The lifted table is a sum of big integers, one
+    per coordinate c: the digits c of all codes, translated through the table
+    row that the head selects at c and scaled by the weight of c.  No byte of
+    the sum carries, as each is a code below 256.  Tables are built on first
+    use.  Those of heads of at most one member are kept; longer heads,
+    quadratically many, rebuild theirs from kept rows.
+    """
+    points, weights, digits = _code_tables(n, width)
+    codes = bytearray([sum(map(operator.mul, v, weights)) for v in seeds])
+    terms = list(seeds.values())
+    kept = [({}, {}) for _ in ops]  # per operation: lifted tables by head, rows by prefix
+    first, start = True, 0  # start: position of the previous round's first new member
+    while True:
+        if len(codes) > guard:
+            complete = False
+            break
+        end = len(codes)
+        every = bytes(codes)
+        fresh = every[start:]
+        for (symbol, k, flat), (lifts, rows) in zip(ops, kept):
+            if not k:
+                if first and (code := flat[0] * sum(weights)) not in codes:
+                    codes.append(code)
+                    terms.append(("op", symbol, ()))
+                continue
+            for head in itertools.product(range(end), repeat=k - 1):
+                if (lift := lifts.get(head)) is None:
+                    prefix = (0,) * width
+                    for i in head:
+                        prefix = tuple(map(n.__mul__, map(operator.add, prefix, points[codes[i]])))
+                    total = 0
+                    for c, p in enumerate(prefix):
+                        if (row := rows.get(p)) is None:
+                            row = rows[p] = bytes(flat[p:p + n]).ljust(256, b"\0")
+                        total += int.from_bytes(digits[c].translate(row), "big") * weights[c]
+                    lift = total.to_bytes(len(points), "big").ljust(256, b"\0")
+                    if k < 3:
+                        lifts[head] = lift
+                block, lo = (fresh, start) if max(head, default=-1) < start else (every, 0)
+                values = block.translate(lift)
+                if new := values.translate(None, codes):
+                    for code in dict.fromkeys(new):
+                        j = values.index(code) + lo
+                        codes.append(code)
+                        terms.append(("op", symbol, tuple(terms[i] for i in (*head, j))))
+        if len(codes) == end:
+            complete = True
+            break
+        first, start = False, end
+    return dict(zip(map(points.__getitem__, codes), terms)), complete
 
 
 def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> ClosureResult:

@@ -1,17 +1,24 @@
+import gc
+import inspect
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import op_from_rows, random_algebra
+from ualgebra import elementary
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable
 from ualgebra.elementary import (
     ElementaryFunction,
     GeneratorResult,
+    _code_fixpoint,
+    _column_fixpoint,
     _fixpoint,
     _horner_tables,
     elementary_closure,
@@ -70,14 +77,19 @@ def naive_close(alg, seeds, width, guard=math.inf):
 def closure_case(seed, shape):
     """A random algebra and seed vectors for one of the three closures.
 
-    The algebra keeps ``random_algebra``'s binary and unary operations, may
-    gain a ternary one and has zero to two constants, in shuffled order.
+    The algebra has two to four elements, so a one-slot closure of
+    elementary functions may fill all 4**4 = 256 points of its power.  It
+    keeps ``random_algebra``'s binary and unary operations, may gain a
+    ternary one and has zero to two constants, in shuffled order.
     ``shape`` picks the seeds: elements (width 1, as for generated
     subuniverses), (U(x), M(x)) pairs (width 2, as for the generator) or the
-    projections over A^Y (width |A|^|Y|, as for elementary functions).
+    projections over A^Y (width |A|^|Y|, as for elementary functions).  An
+    (n, width) pair picks ``boundary_case`` instead.
     """
+    if isinstance(shape, tuple):
+        return boundary_case(seed, *shape)
     rng = random.Random(seed)
-    alg, frame = random_algebra(rng, max_size=3)
+    alg, frame = random_algebra(rng, max_size=4)
     el = alg.carrier.elements
     ops = [g for g in alg.ops if g.rank]
     if rng.random() < 0.3:
@@ -101,6 +113,30 @@ def closure_case(seed, shape):
     for pos, x in enumerate(Y):
         seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
     return alg, seeds, len(assigns)
+
+
+# (carrier size, width) at the 256-point boundary of the code kernel: powers
+# of 256, 256, 256 and 243 points, then of 512 and 729
+BOUNDARY = [(4, 4), (16, 2), (2, 8), (3, 5), (2, 9), (3, 6)]
+
+
+def boundary_case(seed, n, width):
+    """An algebra on n elements with a binary, a unary and a ternary
+    operation and zero or one constant, in shuffled order, and one to three
+    random seed vectors of the given width."""
+    rng = random.Random(seed)
+    carrier = Carrier(tuple(f"a{i}" for i in range(n)))
+    el = carrier.elements
+    ops = [op_from_rows(carrier, symbol, rank, {
+        args: rng.choice(el) for args in itertools.product(el, repeat=len(rank))})
+        for symbol, rank in (("f", ("l", "r")), ("u", ("a",)), ("t", ("a", "b", "c")))]
+    if rng.random() < 0.5:
+        ops.append(op_from_rows(carrier, "c", (), {(): rng.choice(el)}))
+    rng.shuffle(ops)
+    seeds = {}
+    for i in range(rng.randint(1, 3)):
+        seeds.setdefault(tuple(rng.choice(el) for _ in range(width)), ("proj", f"x{i}"))
+    return Algebra("boundary", carrier, tuple(ops)), seeds, width
 
 
 def indexed_seeds(alg, seeds):
@@ -127,17 +163,56 @@ class CountingTable(list):
         return super().__getitem__(code)
 
 
-SHAPES = st.sampled_from(["elements", "pairs", "functions"])
+def round_combinations(members, complete, ranks):
+    """(round, arity, count) for each round a closure ran and each operation
+    rank: the count of argument combinations that touch the previous round's
+    new members, end**k - start**k for end members of which start are old."""
+    # seeds have depth 0 and round r finds the members of depth r + 1, so the
+    # rounds run are one per depth found plus, when complete, the round that
+    # found nothing
+    depths = [term_depth(term) for term in members.values()]
+    start = 0
+    for r in range(max(depths, default=0) + complete):
+        end = sum(d <= r for d in depths)
+        for k in ranks:
+            yield r, k, end**k - start**k
+        start = end
+
+
+def evaluated_pairs(run):
+    """Call ``run()`` under a line trace and add up the lengths of the
+    last-slot blocks that ``_code_fixpoint`` evaluates, which is the number
+    of (head, last-slot member) pairs it evaluated."""
+    lines, first = inspect.getsourcelines(_code_fixpoint)
+    line = first + next(i for i, text in enumerate(lines) if "= block.translate(lift)" in text)
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno == line:
+            count += len(frame.f_locals["block"])
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 trace if frame.f_code is _code_fixpoint.__code__ else None)
+    try:
+        return run(), count
+    finally:
+        sys.settrace(previous)
+
+
+SHAPES = st.sampled_from(["elements", "pairs", "functions", *BOUNDARY])
 GUARDS = st.sampled_from([3, 7, 40, math.inf])
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
-def test_close_matches_naive_rounds(seed, shape, guard):
-    """Same members in the same order, the same witnesses and the same
-    ``complete`` flag as the naive rounds, including guards that stop the
-    closure part-way."""
-    assume(shape != "functions" or guard < math.inf)
+def costly(shape, guard):
+    """Closures without a guard that may take seconds: ternary operations
+    over hundreds of members."""
+    return guard == math.inf and shape not in ("elements", "pairs")
+
+
+def assert_matches_naive_rounds(seed, shape, guard):
     alg, seeds, width = closure_case(seed, shape)
     members, complete = _fixpoint(len(alg.carrier), _horner_tables(alg),
                                   indexed_seeds(alg, seeds), width, guard)
@@ -146,29 +221,138 @@ def test_close_matches_naive_rounds(seed, shape, guard):
     assert complete == expected_complete
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["elements", "pairs", "functions"]),
+       guard=GUARDS)
+def test_close_matches_naive_rounds(seed, shape, guard):
+    """Same members in the same order, the same witnesses and the same
+    ``complete`` flag as the naive rounds, including guards that stop the
+    closure part-way."""
+    assume(not costly(shape, guard))
+    assert_matches_naive_rounds(seed, shape, guard)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(BOUNDARY),
+       guard=st.sampled_from([3, 7, 40]))
+def test_close_matches_naive_rounds_at_the_boundary(seed, shape, guard):
+    """The same on powers of 243 to 729 points, either side of the code
+    kernel's 256, with a ternary operation (naive rounds over 40 members
+    take a third of a second here, hence fewer examples)."""
+    assert_matches_naive_rounds(seed, shape, guard)
+
+
+def assert_kernels_agree(*args):
+    members, complete = _code_fixpoint(*args)
+    expected, expected_complete = _column_fixpoint(*args)
+    assert list(members.items()) == list(expected.items())
+    assert complete == expected_complete
+    return members
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_code_kernel_matches_column_kernel(seed, shape, guard):
+    """Both kernels on the same inputs of at most 256 points: the same
+    members in the same order, the same witnesses and the same ``complete``
+    flag, with the column kernel as the oracle."""
+    assume(not costly(shape, guard))
+    alg, seeds, width = closure_case(seed, shape)
+    n = len(alg.carrier)
+    assume(n ** width <= 256)
+    assert_kernels_agree(n, _horner_tables(alg), indexed_seeds(alg, seeds), width, guard)
+
+
+def test_kernels_agree_on_full_one_slot_closures():
+    """One-slot closures of ``random_algebra`` draws on four elements that
+    fill all 256 points, without a guard."""
+    full = 0
+    for seed in range(40):
+        alg, _frame = random_algebra(random.Random(seed), max_size=4)
+        if len(alg.carrier) < 4:
+            continue
+        members = assert_kernels_agree(4, _horner_tables(alg), {(0, 1, 2, 3): ("proj", "p")}, 4)
+        full += len(members) == 256
+    assert full >= 2
+
+
+@pytest.mark.parametrize("n, width, kernel", [
+    (4, 4, "code"), (16, 2, "code"), (2, 8, "code"), (3, 5, "code"), (256, 1, "code"),
+    (1, 1, "code"), (2, 9, "column"), (3, 6, "column"), (17, 2, "column"),
+    (257, 1, "column"), (16, 16**4, "column")])
+def test_kernel_is_chosen_by_the_power_size(monkeypatch, n, width, kernel):
+    """The code kernel runs exactly when A^width has at most 256 points; a
+    wide power, as for the generator on the 16-element semilattice, goes to
+    the column kernel."""
+    chosen = []
+    for name in ("code", "column"):
+        monkeypatch.setattr(elementary, f"_{name}_fixpoint",
+                            lambda *args, name=name: chosen.append(name) or ({}, True))
+    _fixpoint(n, [], {}, width)
+    assert chosen == [kernel]
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
 def test_close_evaluates_only_new_combinations(seed, shape, guard):
-    """Each round looks up exactly the combinations that touch the previous
-    round's new members: width lookups for each such combination of a
-    non-nullary operation, and one per nullary operation in the first round."""
-    assume(shape != "functions" or guard < math.inf)
+    """Each round of the column kernel looks up exactly the combinations that
+    touch the previous round's new members: width lookups for each such
+    combination of a non-nullary operation, and one per nullary operation in
+    the first round."""
+    assume(not costly(shape, guard))
     alg, seeds, width = closure_case(seed, shape)
     count = [0]
     ops = [(symbol, k, CountingTable(flat, count)) for symbol, k, flat in _horner_tables(alg)]
-    members, complete = _fixpoint(len(alg.carrier), ops, indexed_seeds(alg, seeds), width, guard)
-    # seeds have depth 0 and round r finds the members of depth r + 1, so the
-    # rounds run are one per depth found plus, when complete, the round that
-    # found nothing
-    depths = [term_depth(term) for term in members.values()]
-    rounds = max(depths, default=0) + complete
-    expected, start = 0, 0
-    for r in range(rounds):
-        end = sum(d <= r for d in depths)
-        for _symbol, k, _flat in ops:
-            expected += width * (end**k - start**k) if k else r == 0
-        start = end
-    assert count[0] == expected
+    members, complete = _column_fixpoint(len(alg.carrier), ops, indexed_seeds(alg, seeds),
+                                         width, guard)
+    assert count[0] == sum(width * c if k else r == 0 for r, k, c in round_combinations(
+        members, complete, [k for _symbol, k, _flat in ops]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_code_kernel_evaluates_only_new_combinations(seed, shape, guard):
+    """The code kernel evaluates the same combinations, a last-slot block per
+    head: its (head, last-slot) pairs are exactly the combinations of
+    non-nullary operations that touch the previous round's new members."""
+    assume(not costly(shape, guard))
+    alg, seeds, width = closure_case(seed, shape)
+    n = len(alg.carrier)
+    assume(n ** width <= 256)
+    ops = _horner_tables(alg)
+    (members, complete), pairs = evaluated_pairs(
+        lambda: _code_fixpoint(n, ops, indexed_seeds(alg, seeds), width, guard))
+    assert pairs == sum(c for _r, k, c in round_combinations(
+        members, complete, [k for _symbol, k, _flat in ops]) if k)
+
+
+@pytest.mark.parametrize("seed, size", [(0, 221), (1, 211)])
+def test_code_kernel_peaks_no_higher_than_column_kernel(seed, size):
+    """A one-slot closure on four elements under one ternary operation,
+    stopped by guard 10 after a round over 9 members (81 heads, each a pair
+    of members): the code kernel keeps no lifted table per head pair, so
+    tracemalloc sees it peak no higher than the column kernel.  Keeping one
+    per head pair adds about 24 kB, four to six times the margin."""
+    carrier = Carrier(("a", "b", "c", "d"))
+    rng = random.Random(seed)
+    el = carrier.elements
+    alg = Algebra("ternary", carrier, (op_from_rows(carrier, "t", ("a", "b", "c"), {
+        args: rng.choice(el) for args in itertools.product(el, repeat=3)}),))
+    args = (4, _horner_tables(alg), {(0, 1, 2, 3): ("proj", "p")}, 4, 10)
+    peaks = []
+    for kernel in (_code_fixpoint, _column_fixpoint):
+        kernel(*args)  # builds the code tables of A^4, kept for the process
+        # a full collection also empties the free lists of tuples, so both
+        # kernels are measured from the same state, whatever ran before
+        gc.collect()
+        tracemalloc.start()
+        try:
+            members, _complete = kernel(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(members) == size
+    assert peaks[0] <= peaks[1]
 
 
 def test_semilattice_unary_closure(semilattice2):

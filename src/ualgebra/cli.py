@@ -9,6 +9,7 @@ timings live outside the body.  Exit code 0 means every finding passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,10 +28,6 @@ from .gallery.semilattice import MAX_GROUND
 from .representation import build_representation, enumerate_endomorphisms, load_frame, verify_basis_equivalence
 
 
-class CarrierGuard(GuardExceeded):
-    """An algebra file's carrier is larger than --max-carrier."""
-
-
 def _check_flags(args) -> None:
     """Reject flag values that would be clamped or make a check vacuous."""
     for flag, least in (("samples", 1), ("max_carrier", 1), ("guard_tables", 0), ("Y", 0)):
@@ -42,7 +39,7 @@ def _check_flags(args) -> None:
 def _load_algebra(args):
     alg = load_algebra(args.algebra)
     if len(alg.carrier) > args.max_carrier:
-        raise CarrierGuard(f"carrier size {len(alg.carrier)} over --max-carrier")
+        raise GuardExceeded(f"carrier size {len(alg.carrier)} over --max-carrier")
     return alg
 
 
@@ -202,6 +199,7 @@ def cmd_gallery(args) -> dict:
     raise AlgebraError(f"unknown gallery entry {name!r}")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ualgebra",
                                      description="finite universal algebra workbench")
@@ -256,7 +254,7 @@ def execute(args) -> tuple[dict, int]:
     try:
         _check_flags(args)
         body = args.run(args)
-    except CarrierGuard as exc:
+    except GuardExceeded as exc:  # says which guard tripped
         body = {"status": "guard-exceeded", "reason": str(exc)}
     except AlgebraError as exc:
         body = {"status": "fail", "error": str(exc)}

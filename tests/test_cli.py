@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ualgebra.cli import main, run
+from ualgebra.cli import build_parser, main, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -94,6 +94,48 @@ def test_commutative_semilattice_with_conjugates():
     assert body["commutative"]
     assert body["closure_commutation"] == {"status": "pass", "closure_size": 4}
     assert body["conjugate_commutation"] == "pass"
+
+
+def test_runs_share_one_parser_without_leaks():
+    """The parser is built once per process; back-to-back runs of different
+    commands and flags parse exactly as a fresh parser would, and no flag or
+    default of one run reaches the next."""
+    assert build_parser() is build_parser()
+    algebra, frame = str(FIXTURES / "semilattice2.json"), str(FIXTURES / "semilattice2_frame.json")
+    commands = [["endos", algebra, "--list", "--method", "brute"], ["endos", algebra],
+                ["--seed", "7", "commutative", algebra, "--frame", frame],
+                ["commutative", algebra, "--Y", "2"], ["basis", algebra, frame],
+                ["--samples", "5", "commutative", algebra], ["endos", algebra]]
+    for argv in commands:
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(build_parser.__wrapped__().parse_args(argv))
+    reports = [run(argv)[0]["report"] for argv in commands]
+    assert reports[0]["method"] == "brute" and len(reports[0]["endos"]) == 16
+    assert reports[1]["method"] == "backtrack" and "endos" not in reports[1]
+    assert reports[2]["seed"] == 7 and reports[2]["conjugate_commutation"] == "pass"
+    assert reports[3]["seed"] == 0 and "conjugate_commutation" not in reports[3]
+    assert reports[3]["inputs"] == [algebra]
+    assert reports[3]["closure_commutation"]["closure_size"] == 4
+    assert reports[5]["pairs"] == reports[3]["pairs"]
+    assert reports[5]["closure_commutation"]["closure_size"] == 2  # --Y back to 1
+    assert reports[6] == reports[1]
+
+
+@pytest.mark.parametrize("command, reason", [
+    (["commutative", str(FIXTURES / "semilattice3.json"),
+      "--frame", str(FIXTURES / "semilattice3_frame.json")],
+     "medial check for ('chi_{}', 'chi_{}') needs 134217728 cases"),
+    (["endos", str(FIXTURES / "semilattice3.json"), "--method", "brute"],
+     "brute-force space 8^8 exceeds cap 100000"),
+], ids=["conjugate-pairs", "brute-endos"])
+def test_tripped_guard_is_reported_as_such(command, reason):
+    """Every size guard, not only --max-carrier, reports guard-exceeded and
+    says which guard tripped."""
+    out, code = run(command)
+    assert code == 1
+    body = out["report"]
+    assert (body["status"], body["reason"]) == ("guard-exceeded", reason)
+    assert "error" not in body
 
 
 def test_commutative_closure_guard_is_not_a_pass():

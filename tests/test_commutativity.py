@@ -1,20 +1,27 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import op_from_rows, random_algebra
+from ualgebra import commutativity
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.commutativity import (
     MedialReport,
+    _byte_medial_defect,
+    _medial_defect,
+    _row_columns,
     check_conjugate_commutation,
     check_closure_commutation,
     is_commutative,
     medial_check,
     ops_commute,
 )
-from ualgebra.core import Algebra, Carrier, Operation
+from ualgebra.core import Algebra, Carrier, FunctionTable, Operation
 from ualgebra.elementary import elementary_closure
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import build_representation
@@ -213,3 +220,140 @@ def test_coded_check_matches_element_oracle(seed):
         if len(carrier) ** (len(f.rank) * len(g.rank)) > 3**6:
             continue  # ternary against ternary on three elements: 19683 cases
         assert ops_commute(f, g, carrier=carrier) == naive_ops_commute(f, g, carrier)
+
+
+def kernel_codes(rng, n, k, kind):
+    """Horner codes of a rank-k function over n elements: a random table, a
+    projection (it commutes with every function), a constant (it commutes
+    with a g that fixes it), or a projection changed at its last code, so a
+    defect, if any, comes late in canonical order."""
+    points = list(itertools.product(range(n), repeat=k))
+    if kind == "random":
+        return [rng.randrange(n) for _ in points]
+    if kind == "constant" or not k:
+        return [rng.randrange(n)] * len(points)
+    i = rng.randrange(k)
+    codes = [p[i] for p in points]
+    if kind == "late":
+        codes[-1] = rng.randrange(n)
+    return codes
+
+
+KINDS = ("random", "projection", "constant", "late")
+
+
+def table_of(carrier, k, codes):
+    return FunctionTable(carrier, tuple(f"x{i}" for i in range(k)), tuple(codes))
+
+
+# (n, r, s) the byte kernel takes, with at most 50 000 matrices m
+BYTE_SHAPES = [(n, r, s) for n in range(1, 7) for r in range(4) for s in range(4)
+               if n ** r <= 256 and n ** s <= 256 and n ** (r * s) <= 50_000]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(BYTE_SHAPES),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)))
+def test_byte_kernel_matches_per_head_kernel(seed, shape, kinds):
+    """Same verdict and first witness as the per-head kernel, and, on small
+    shapes, as the element-at-a-time oracle through ``ops_commute``."""
+    n, r, s = shape
+    rng = random.Random(seed)
+    F, G = (kernel_codes(rng, n, k, kind) for k, kind in zip((r, s), kinds))
+    assert _byte_medial_defect(F, G, n, r, s) == _medial_defect(F, G, n, r, s)
+    if n ** (r * s) <= 1_000:
+        carrier = Carrier(tuple(f"e{a}" for a in range(n)))
+        f, g = table_of(carrier, r, F), table_of(carrier, s, G)
+        assert ops_commute(f, g, carrier=carrier) == naive_ops_commute(f, g, carrier)
+
+
+def _spy_kernels(monkeypatch) -> list:
+    """Record which kernel each ``ops_commute`` runs."""
+    chosen = []
+    for kernel in (_byte_medial_defect, _medial_defect):
+        monkeypatch.setattr(commutativity, kernel.__name__,
+                            lambda *args, kernel=kernel: chosen.append(kernel) or kernel(*args))
+    return chosen
+
+
+@pytest.mark.parametrize("n, r, s", [
+    (16, 2, 1), (16, 2, 2), (16, 1, 2), (4, 4, 1), (4, 4, 2), (2, 8, 1), (2, 8, 2),
+    (256, 1, 1), (17, 2, 1), (17, 1, 2), (2, 9, 1), (4, 1, 5), (3, 6, 1), (257, 1, 1),
+])
+def test_kernel_is_chosen_by_the_code_count_at_the_boundary(monkeypatch, n, r, s):
+    """The byte kernel runs exactly when f and g have at most 256 codes each;
+    at the boundary it agrees with the per-head kernel, and past it the
+    per-head kernel agrees with the element-at-a-time oracle."""
+    fits = n ** r <= 256 and n ** s <= 256
+    carrier = Carrier(tuple(f"e{a}" for a in range(n)))
+    rng = random.Random(n * 100 + r * 10 + s)
+    for kinds in (("random", "random"), ("projection", "random"), ("late", "projection"),
+                  ("constant", "constant")):
+        F, G = (kernel_codes(rng, n, k, kind) for k, kind in zip((r, s), kinds))
+        f, g = table_of(carrier, r, F), table_of(carrier, s, G)
+        chosen = _spy_kernels(monkeypatch)
+        report = ops_commute(f, g, carrier=carrier)
+        assert chosen == [_byte_medial_defect if fits else _medial_defect]
+        if fits:
+            assert _byte_medial_defect(F, G, n, r, s) == _medial_defect(F, G, n, r, s)
+        else:
+            assert report == naive_ops_commute(f, g, carrier)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nullary_and_one_element_shapes(monkeypatch, n):
+    """Nullary f or g, and every shape on one element, run the byte kernel
+    and agree with the oracle."""
+    carrier = Carrier(tuple(f"e{a}" for a in range(n)))
+    rng = random.Random(n)
+    for r, s in itertools.product(range(4), repeat=2):
+        if r and s and n > 1:
+            continue
+        for kinds in itertools.product(KINDS, repeat=2):
+            F, G = (kernel_codes(rng, n, k, kind) for k, kind in zip((r, s), kinds))
+            f, g = table_of(carrier, r, F), table_of(carrier, s, G)
+            chosen = _spy_kernels(monkeypatch)
+            assert ops_commute(f, g, carrier=carrier) == naive_ops_commute(f, g, carrier)
+            assert chosen == [_byte_medial_defect]
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kinds", [("projection", "random"), ("random", "random")])
+def test_byte_kernel_peak_memory(kinds):
+    """One check over N = 2**21 matrices (n = 2, r = 3, s = 7), a full scan
+    and a failing one, peaks below 16 bytes per matrix, the cached row
+    columns included."""
+    n, r, s = 2, 3, 7
+    size = n ** (r * s)
+    carrier = Carrier(("a", "b"))
+    rng = random.Random(7)
+    f, g = (table_of(carrier, k, kernel_codes(rng, n, k, kind))
+            for k, kind in zip((r, s), kinds))
+    _row_columns.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = ops_commute(f, g, carrier=carrier, guard=size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds == (kinds[0] == "projection")
+    assert peak < 16 * size
+
+
+def test_closure_check_reports_each_failing_pair_once(boolean):
+    """Told that a non-commutative algebra is commutative, the closure check
+    still runs and reports every failing pair with f at or before g, with the
+    oracle's witnesses; the ordered failures are symmetric, so none is lost."""
+    alg, _frame = boolean
+    result = check_closure_commutation(alg, ("p", "q"), commutative=True)
+    assert result["status"] == "fail"
+    tables = [ef.table for ef in elementary_closure(alg, ("p", "q")).functions]
+    assert result["closure_size"] == len(tables)
+    verdicts = {(i, j): naive_ops_commute(f, g, alg.carrier)
+                for i, f in enumerate(tables) for j, g in enumerate(tables)}
+    failing = {pair for pair, report in verdicts.items() if not report.holds}
+    assert failing and failing == {(j, i) for i, j in failing}
+    assert result["pair_failures"] == [verdicts[i, j] for i, j in sorted(failing) if i <= j]
+    assert result["projection_failures"] == []

@@ -64,8 +64,7 @@ def cmd_basis(args) -> dict:
     alg = _load_algebra(args)
     frame = load_frame(args.frame)
     rep = build_representation(alg, frame)
-    check = verify_basis_equivalence(alg, frame, rep=rep, samples=args.samples,
-                                     seed=args.seed)
+    check = verify_basis_equivalence(alg, frame, rep=rep)
     report = {"basis": rep.bijective, "endo_count": len(rep.endos), "basis_equivalence": check}
     if rep.failure:
         report["failure"] = {

@@ -182,37 +182,31 @@ def check_closure_commutation(alg: Algebra, Y, commutative: bool,
             rep = ops_commute(f, g, carrier=alg.carrier)
             if not rep.holds:
                 failures.append(rep)
-    # base case: fundamental ops against every projection
-    projection_failures = []
-    proj = [ef.table for ef in closure.functions if ef.witness[0] == "proj"]
-    for f in alg.tables:
-        for p in proj:
-            rep = ops_commute(f, p, carrier=alg.carrier)
-            if not rep.holds:
-                projection_failures.append(rep)
-    ok = not failures and not projection_failures
+    # the projections need no check against the operations:
+    # p_i(g . m) = g(row i) = g(p_i . c_m) for every g
     return {
-        "status": "pass" if ok else "fail",
+        "status": "fail" if failures else "pass",
         "closure_size": len(tables),
         "pair_failures": failures,
-        "projection_failures": projection_failures,
     }
 
 
 def check_conjugate_commutation(rep: Representation, guard: int = PAIR_GUARD) -> dict:
-    """The conjugate algebra of a commutative based algebra is commutative;
-    a failure is (a, b, report) for the conjugates of carrier indices a, b,
-    and reports and guard messages name the conjugate of element a "chi_a"."""
+    """The conjugate algebra of a commutative based algebra is commutative.
+
+    The law is symmetric, so each pair is checked once, with a <= b; a failure
+    is (a, b, report) for the conjugates of carrier indices a, b, and reports
+    and guard messages name the conjugate of element a "chi_a"."""
     if not rep.bijective:
         return {"status": "skipped", "reason": "sampling is not bijective"}
     carrier = rep.algebra.carrier
     chi = [Operation(f"chi_{x}", t.rank, t) for x, t in zip(carrier.elements, rep.conjugates)]
     failures = []
     for a, chi_a in enumerate(chi):
-        for b, chi_b in enumerate(chi):
+        for b, chi_b in enumerate(chi[a:], a):
             r = ops_commute(chi_a, chi_b, carrier=carrier, guard=guard)
             if not r.holds:
                 failures.append((a, b, r))
     return {"status": "pass" if not failures else "fail",
-            "pairs": len(rep.conjugates) ** 2,
+            "pairs": len(chi) * (len(chi) + 1) // 2,
             "failures": failures}

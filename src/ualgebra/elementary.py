@@ -238,19 +238,12 @@ def rankless(alg: Algebra, guard: int = DEFAULT_GUARD) -> set[UnaryMap]:
     return {ef.table.equalize() for ef in closure.functions}
 
 
-def subuniverse_with_terms(alg: Algebra, seeds: dict[int, Term]) -> dict[int, Term]:
-    """Subalgebra closure of seed elements (carrier indices), keeping one
-    reaching term each."""
-    members, _complete = _fixpoint(len(alg.carrier), _horner_tables(alg),
-                                   {(a,): term for a, term in seeds.items()}, 1)
-    return {a: term for (a,), term in members.items()}
-
-
 def generated_subuniverse(alg: Algebra, frame) -> frozenset[int]:
     """The carrier indices reachable from the frame's range; all of them iff
     the frame is a generator."""
-    seeds = {u: ("proj", x) for x, u in zip(frame.X, frame.codes(alg.carrier))}
-    return frozenset(subuniverse_with_terms(alg, seeds))
+    seeds = {(u,): ("proj", x) for x, u in zip(frame.X, frame.codes(alg.carrier))}
+    members, _complete = _fixpoint(len(alg.carrier), _horner_tables(alg), seeds, 1)
+    return frozenset(a for (a,) in members)
 
 
 @dataclass(frozen=True)

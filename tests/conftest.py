@@ -53,3 +53,18 @@ def random_algebra(rng: random.Random, max_size: int = 4):
     labels = tuple(f"x{i}" for i in range(k))
     frame = Frame(labels, {x: rng.choice(elements) for x in labels})
     return alg, frame
+
+
+def based_algebra(rng: random.Random):
+    """A based algebra with its frame: a semilattice on 1 to 3 ground points
+    or ``boolean``, its carrier listed in a random order.  The order changes
+    every Horner code and the search's branching, but not the mathematics."""
+    size = rng.randint(0, 3)
+    alg, frame = build_powerset_semilattice("xyz"[:size]) if size else build_boolean_example()
+    names = alg.carrier.elements
+    carrier = Carrier(tuple(rng.sample(names, len(names))))
+    ops = tuple(op_from_rows(carrier, f.symbol, f.rank,
+                             dict(zip(alg.carrier.assignments(f.rank),
+                                      map(names.__getitem__, f.table.codes))))
+                for f in alg.ops)
+    return Algebra(alg.name, carrier, ops), frame

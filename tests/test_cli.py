@@ -236,6 +236,17 @@ def test_seed_changes_sampled_reports():
     assert one["report"]["seed"] == 1 and two["report"]["seed"] == 2
 
 
+@pytest.mark.parametrize("alg, frame", [
+    ("boolean", "boolean_frame"), ("semilattice2", "semilattice2_frame"),
+    ("semilattice2", "semilattice2_constant_frame"), ("semilattice3", "semilattice3_frame")])
+def test_basis_does_not_depend_on_the_seed(alg, frame):
+    argv = ["basis", str(FIXTURES / f"{alg}.json"), str(FIXTURES / f"{frame}.json")]
+    (zero, code_zero), (seven, code_seven) = (run(["--seed", seed, *argv]) for seed in ("0", "7"))
+    assert code_zero == code_seven
+    assert zero["report"].pop("seed") == 0 and seven["report"].pop("seed") == 7
+    assert zero["report"] == seven["report"]
+
+
 def test_out_file_and_text_mode(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code = main(["--text", "--out", str(target),

@@ -25,7 +25,6 @@ from ualgebra.elementary import (
     elementary_generator,
     generated_subuniverse,
     rankless,
-    subuniverse_with_terms,
     term_table,
 )
 from ualgebra.representation import Frame
@@ -530,6 +529,14 @@ def test_closure_engine_against_composition(seed, Y):
             assert set_ary_compose(g, dict(zip(g.rank, combo)), alg.carrier, Y) in members
 
 
+def subuniverse_with_terms(alg, seeds: dict) -> dict:
+    """Subalgebra closure of seed elements (carrier indices), keeping one
+    reaching term each."""
+    members, _complete = _fixpoint(len(alg.carrier), _horner_tables(alg),
+                                   {(a,): term for a, term in seeds.items()}, 1)
+    return {a: term for (a,), term in members.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_subuniverse_terms_evaluate_to_members(seed):
@@ -538,6 +545,7 @@ def test_subuniverse_terms_evaluate_to_members(seed):
     alg, frame = random_algebra(random.Random(seed), max_size=3)
     U = frame.codes(alg.carrier)
     reach = subuniverse_with_terms(alg, {u: ("proj", x) for x, u in zip(frame.X, U)})
+    assert generated_subuniverse(alg, frame) == reach.keys()
     names = names_of(alg, reach)
     for a, term in reach.items():
         assert term_table(alg, term, frame.X).at(U) == a

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import op_from_rows, random_algebra
+from conftest import based_algebra, op_from_rows, random_algebra
 from ualgebra import cli
 from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable, Operation, UnaryMap
 from ualgebra.gallery import build_boolean_example, build_powerset_semilattice
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import (
+    BRUTE_CAP,
     Frame,
     _compile_plan,
     build_representation,
@@ -295,16 +296,7 @@ def test_basis_equivalence_semilattice(semilattice2):
     assert report["chi_routes_agree"]
     assert report["commutation_members_ok"]
     assert report["e_chi_equals_e_alpha"]
-    assert report["nonmember_check"] == "exhaustive"
-
-
-def test_basis_equivalence_sampled_nonmembers(semilattice2):
-    alg, frame = semilattice2
-    # 4^4 candidate maps exceed the cap, so non-members are drawn at random
-    report = verify_basis_equivalence(alg, frame, samples=200, seed=3, reject_cap=100)
-    assert report["nonmember_check"] == "sampled:200:seed=3"
-    assert report["nonmembers_rejected"] and report["e_chi_equals_e_alpha"]
-    assert report == verify_basis_equivalence(alg, frame, samples=200, seed=3, reject_cap=100)
+    assert report["nonmember_check"] == "exact"
 
 
 def test_basis_equivalence_boolean(boolean):
@@ -443,8 +435,13 @@ def semilattice_reps() -> list:
     return [build_representation(alg, frame) for alg, frame in examples]
 
 
+def based_reps(count: int = 12) -> list:
+    """The representations of ``count`` seeded ``based_algebra`` draws."""
+    return [build_representation(*based_algebra(random.Random(seed))) for seed in range(count)]
+
+
 def test_members_on_generators_match_all_members():
-    reps = semilattice_reps() + bijective_random_reps()
+    reps = semilattice_reps() + bijective_random_reps() + based_reps()
     assert len(reps) > 20
     sizes = []
     for rep in reps:
@@ -498,3 +495,93 @@ def test_generators_leaving_the_endomorphisms_fail(semilattice3, monkeypatch):
     assert out["report"]["status"] == "fail"
     assert "not closed under composition" in out["report"]["error"]
     assert "basis_equivalence" not in out["report"]
+
+
+def swept_nonmembers_rejected(rep) -> bool:
+    """The E_chi within E_alpha half by sweeping: the defect test finds a
+    defect in every map A -> A outside the endomorphisms, over all of them
+    when n**n <= BRUTE_CAP and over 1000 seeded draws otherwise.  The oracle
+    for the exact check on the conjugates' columns."""
+    defect = commutation_checker(rep)
+    members = {h.codes for h in rep.endos}
+    n = len(rep.algebra.carrier)
+    if n**n <= BRUTE_CAP:
+        candidates = itertools.product(range(n), repeat=n)
+    else:
+        rng = random.Random(0)
+        candidates = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(1000))
+    return all(h in members or defect(h) is not None for h in candidates)
+
+
+def nonmembers_rejected(rep) -> bool:
+    report = verify_basis_equivalence(rep.algebra, rep.frame, rep=rep)
+    assert report["nonmember_check"] == "exact"
+    return report["nonmembers_rejected"]
+
+
+def test_exact_nonmember_check_matches_sweep(semilattice2, semilattice3, boolean):
+    reps = [build_representation(alg, frame) for alg, frame in (semilattice2, semilattice3, boolean)]
+    reps += bijective_random_reps() + based_reps()
+    assert {len(rep.algebra.carrier) for rep in reps} == {2, 4, 8}
+    for rep in reps:
+        assert rep.bijective
+        assert nonmembers_rejected(rep) == swept_nonmembers_rejected(rep)
+
+
+def code_of_U(rep) -> int:
+    """The Horner code of the frame's own matrix U."""
+    return list(rep.matrices()).index(rep.frame.codes(rep.algebra.carrier))
+
+
+def with_columns_swapped(rep, i: int, j: int):
+    """``rep`` with the columns chi_.(M) at Horner codes i and j exchanged."""
+    columns = list(zip(*(chi.codes for chi in rep.conjugates)))
+    columns[i], columns[j] = columns[j], columns[i]
+    conjugates = tuple(FunctionTable(rep.algebra.carrier, rep.frame.X, codes)
+                       for codes in zip(*columns))
+    return dataclasses.replace(rep, conjugates=conjugates)
+
+
+def test_exact_pass_implies_sweep_pass_on_mutated_conjugates():
+    """On wrong conjugates the exact check is only sufficient: when it passes,
+    the sweep finds no non-member without a defect either."""
+    rng = random.Random(31)
+    reps = [rep for rep in semilattice_reps() + bijective_random_reps() + based_reps()
+            if len(rep.algebra.carrier) > 1]
+    verdicts = []
+    for rep in reps:
+        n, size = len(rep.algebra.carrier), len(rep.conjugates[0].codes)
+        mutated = [with_conjugate_changed(rep, rng.randrange(n), rng.randrange(size),
+                                          rng.randrange(1, n))]
+        if size > 2:
+            # two columns other than the one at U, swapped: every column is still a member
+            at_U = code_of_U(rep)
+            others = [c for c in range(size) if c != at_U]
+            mutated.append(with_columns_swapped(rep, *rng.sample(others, 2)))
+        for wrong in mutated:
+            exact = nonmembers_rejected(wrong)
+            if exact:
+                assert swept_nonmembers_rejected(wrong)
+            verdicts.append(exact)
+    assert True in verdicts and False in verdicts
+
+
+def test_conjugate_changed_at_the_frame_fails_basis(semilattice3, monkeypatch):
+    # chi_.(U) is no longer the identity, so the columns prove nothing: one
+    # code of chi_a moved, or the column at U swapped with the last one, which
+    # leaves every column an endomorphism
+    rep = build_representation(*semilattice3)
+    at_U = code_of_U(rep)
+    moved = with_conjugate_changed(rep, 3, at_U)
+    swapped = with_columns_swapped(rep, at_U, len(rep.conjugates[0].codes) - 1)
+    for wrong in (moved, swapped):
+        report = verify_basis_equivalence(wrong.algebra, wrong.frame, rep=wrong)
+        assert report["nonmember_check"] == "exact"
+        assert report["nonmembers_rejected"] is False
+        assert report["e_chi_equals_e_alpha"] is False
+    monkeypatch.setattr(cli, "build_representation", lambda alg, frame: moved)
+    out, code = cli.run(["basis", str(FIXTURES / "semilattice3.json"),
+                         str(FIXTURES / "semilattice3_frame.json")])
+    assert code == 1
+    assert out["report"]["status"] == "fail"
+    assert out["report"]["basis_equivalence"]["nonmembers_rejected"] is False

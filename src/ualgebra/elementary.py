@@ -70,44 +70,46 @@ def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, 
     round's new members: any other was evaluated a round earlier and its value
     is already a member.  So nullary operations run in the first round only,
     and the last slot is restricted to the new members when no earlier slot
-    holds one.  Before each round a member count over ``guard`` stops the
-    closure with the partial set flagged incomplete.
+    holds one.  The closure stops as soon as it holds more than ``guard``
+    members, inside a round if need be, with the partial set (the seeds and
+    then the members in order of discovery) flagged incomplete; so it is
+    complete exactly when it has at most ``guard`` members.
 
     Two kernels compute it with identical results.  When A^width has at most
     CODE_POINTS points, every member fits one byte and ``_code_fixpoint``
-    runs; otherwise ``_column_fixpoint``.  The power n**width is only formed
+    runs; otherwise ``_vector_fixpoint``.  The power n**width is only formed
     for width <= 8, which a carrier of two or more elements needs to fit.
     """
     fits = width <= 8 and n ** width <= CODE_POINTS
-    return (_code_fixpoint if fits else _column_fixpoint)(n, ops, seeds, width, guard)
+    return (_code_fixpoint if fits else _vector_fixpoint)(n, ops, seeds, width, guard)
 
 
-def _column_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
+def _vector_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
                      width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
-    """``_fixpoint`` over member vectors, evaluating a head's whole last-slot
-    block a coordinate at a time: coordinate c of the members is a column,
-    mapped through the table row that the head selects at c."""
+    """``_fixpoint`` over member vectors, also laid end to end in one flat
+    list.  A head's whole last-slot block is one ``map``: the head's Horner
+    prefix, repeated once per last-slot member, plus that slice of the list,
+    through the table; ``zip(*[it] * width)`` cuts the values into vectors."""
     members = dict(seeds)
     order = list(members)
-    columns = [[v[c] for v in order] for c in range(width)]
+    flat_members = [a for v in order for a in v]
 
-    def add(value, term):
+    def add(value, term):  # True when the members pass the guard
         members[value] = term
         order.append(value)
-        for col, a in zip(columns, value):
-            col.append(a)
+        flat_members.extend(value)
+        return len(order) > guard
 
     first, start = True, 0  # start: position of the previous round's first new member
     while True:
-        if len(order) > guard:
+        if len(order) > guard:  # the seeds alone; a round stops at the member that passes it
             return members, False
         end = len(order)
         for symbol, k, flat in ops:
             if not k:
-                if first:
-                    value = (flat[0],) * width
-                    if value not in members:
-                        add(value, ("op", symbol, ()))
+                if first and (value := (flat[0],) * width) not in members \
+                        and add(value, ("op", symbol, ())):
+                    return members, False
                 continue
             for head in itertools.product(range(end), repeat=k - 1):
                 # Horner code of the head's arguments, shifted for the last slot
@@ -115,15 +117,14 @@ def _column_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[
                 for i in head:
                     prefix = tuple(map(n.__mul__, map(operator.add, prefix, order[i])))
                 lo = start if max(head, default=-1) < start else 0
-                # the values over every last-slot member, a coordinate at a time:
-                # coordinate code c reads the table row flat[c:c + n]
-                values = list(zip(*[map(flat[c:c + n].__getitem__, col[lo:end])
-                                    for c, col in zip(prefix, columns)]))
+                codes = map(operator.add, prefix * (end - lo), flat_members[lo * width:end * width])
+                values = list(zip(*[map(flat.__getitem__, codes)] * width))
                 if all(map(members.__contains__, values)):
                     continue
                 for j, value in enumerate(values, lo):
-                    if value not in members:
-                        add(value, ("op", symbol, tuple(members[order[i]] for i in (*head, j))))
+                    if value not in members and add(
+                            value, ("op", symbol, tuple(members[order[i]] for i in (*head, j)))):
+                        return members, False
         if len(order) == end:
             return members, True
         first, start = False, end
@@ -158,20 +159,29 @@ def _code_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tu
     points, weights, digits = _code_tables(n, width)
     codes = bytearray([sum(map(operator.mul, v, weights)) for v in seeds])
     terms = list(seeds.values())
+
     kept = [({}, {}) for _ in ops]  # per operation: lifted tables by head, rows by prefix
+
+    def add(code, term):  # True when the members pass the guard
+        codes.append(code)
+        terms.append(term)
+        return len(codes) > guard
+
+    def result(complete):
+        return dict(zip(map(points.__getitem__, codes), terms)), complete
+
     first, start = True, 0  # start: position of the previous round's first new member
     while True:
-        if len(codes) > guard:
-            complete = False
-            break
+        if len(codes) > guard:  # the seeds alone; a round stops at the member that passes it
+            return result(False)
         end = len(codes)
         every = bytes(codes)
         fresh = every[start:]
         for (symbol, k, flat), (lifts, rows) in zip(ops, kept):
             if not k:
-                if first and (code := flat[0] * sum(weights)) not in codes:
-                    codes.append(code)
-                    terms.append(("op", symbol, ()))
+                if first and (code := flat[0] * sum(weights)) not in codes \
+                        and add(code, ("op", symbol, ())):
+                    return result(False)
                 continue
             for head in itertools.product(range(end), repeat=k - 1):
                 if (lift := lifts.get(head)) is None:
@@ -191,13 +201,11 @@ def _code_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tu
                 if new := values.translate(None, codes):
                     for code in dict.fromkeys(new):
                         j = values.index(code) + lo
-                        codes.append(code)
-                        terms.append(("op", symbol, tuple(terms[i] for i in (*head, j))))
+                        if add(code, ("op", symbol, tuple(terms[i] for i in (*head, j)))):
+                            return result(False)
         if len(codes) == end:
-            complete = True
-            break
+            return result(True)
         first, start = False, end
-    return dict(zip(map(points.__getitem__, codes), terms)), complete
 
 
 def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> ClosureResult:
@@ -281,9 +289,8 @@ def elementary_generator(alg: Algebra, frame) -> GeneratorResult:
     if len(reach) < n:
         return GeneratorResult("not-generator", missing=frozenset(range(n)) - reach)
 
-    # Guard n stops the closure early and safely: more than n members put two
-    # at one value at U (pigeonhole), and a round that starts with at most n
-    # members adds at most the sum of n**arity over the operations.
+    # Guard n stops the closure at n + 1 members, two of which agree at U
+    # (pigeonhole); the first such pair lies among them, so the witness holds.
     U = frame.codes(alg.carrier)
     chi: dict[int, ElementaryFunction] = {}
     for ef in elementary_closure(alg, frame.X, guard=n).functions:

@@ -265,8 +265,8 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
                                        "matrix": ()})
 
     by_matrix: dict[Matrix, UnaryMap] = {}
-    # in name order, which decides the collision that a failure reports
-    for h in sorted(endos, key=lambda h: h.values):
+    # in code order, which decides the collision that a failure reports
+    for h in sorted(endos, key=lambda h: h.codes):
         m = sampling[h]
         if m in by_matrix:
             return Representation(alg, frame, frozenset(endos), sampling,
@@ -326,9 +326,7 @@ def commutation_checker(rep: Representation):
     Returns ``defect(values)``: for the map h given as carrier indices, the
     first matrix M in canonical order with h . chi_.(M) != chi_.(h . M), or
     None.  chi_.(M) is the vector (chi_a(M))_a, so this checks every pair
-    h(chi_a(M)) = chi_a(h . M).  The matrices are checked a block at a time,
-    a block being the n^(k-1) matrices that share a first coordinate, and the
-    first block with a defect ends the test.
+    h(chi_a(M)) = chi_a(h . M), over all matrices in one pass.
     """
     n = len(rep.algebra.carrier)
     k = len(rep.frame.X)
@@ -338,25 +336,18 @@ def commutation_checker(rep: Representation):
     # and str.join gathers vectors element by element in C.
     vectors = ["".join(map(chr, column)) for column in
                zip(*(chi.codes for chi in rep.conjugates))]
-    # an empty frame is bijective only on one element: one block, one matrix
-    width = n ** (k - 1) if k else 1
-    blocks = [vectors[b * width:(b + 1) * width] for b in range(n)]
-    chi = ["".join(block) for block in blocks]
+    chi = "".join(vectors)
 
     def defect(values: tuple[int, ...]) -> Matrix | None:
-        # Horner codes of h . M without its first coordinate, shared by every block
-        moved = [0]
-        for _ in range(k - 1):
+        moved = [0]  # the Horner codes of h . M for every M in canonical order
+        for _ in range(k):
             moved = [c * n + v for c in moved for v in values]
-        for b, chi_b in enumerate(chi):
-            after = chi_b.translate(values)
-            # h . M starts with h(b), so its vectors lie in block h(b)
-            before = "".join(map(blocks[values[b]].__getitem__, moved))
-            if after != before:
-                i = next(i for i in range(width)
-                         if after[i * n:(i + 1) * n] != before[i * n:(i + 1) * n])
-                return matrices[b * width + i]
-        return None
+        after = chi.translate(values)
+        before = "".join(map(vectors.__getitem__, moved))
+        if after == before:
+            return None
+        i = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
+        return matrices[i // n]
 
     return defect
 

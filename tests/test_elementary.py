@@ -18,9 +18,9 @@ from ualgebra.elementary import (
     ElementaryFunction,
     GeneratorResult,
     _code_fixpoint,
-    _column_fixpoint,
     _fixpoint,
     _horner_tables,
+    _vector_fixpoint,
     elementary_closure,
     elementary_generator,
     generated_subuniverse,
@@ -56,11 +56,12 @@ def brute_closure_tables(alg, Y, max_depth=4):
 def naive_close(alg, seeds, width, guard=math.inf):
     """Oracle for ``_fixpoint``: every round applies each operation to every
     combination of the members so far, through ``Operation.__call__`` on
-    element names, and keeps the first term reaching each new vector."""
+    element names, and keeps the first term reaching each new vector.  It
+    stops as soon as it holds more than ``guard`` members."""
     members = dict(seeds)
+    if len(members) > guard:
+        return members, False
     while True:
-        if len(members) > guard:
-            return members, False
         new = {}
         order = list(members)
         for g in alg.ops:
@@ -68,6 +69,8 @@ def naive_close(alg, seeds, width, guard=math.inf):
                 value = tuple(map(g, zip(*combo))) if combo else (g(()),) * width
                 if value not in members and value not in new:
                     new[value] = ("op", g.symbol, tuple(members[v] for v in combo))
+                    if len(members) + len(new) > guard:
+                        return members | new, False
         if not new:
             return members, True
         members.update(new)
@@ -148,16 +151,13 @@ def term_depth(term):
 
 
 class CountingTable(list):
-    """A Horner table that adds its lookups, also those through its slices,
-    to ``count[0]``."""
+    """A Horner table that adds its lookups to ``count[0]``."""
 
     def __init__(self, values, count):
         super().__init__(values)
         self.count = count
 
     def __getitem__(self, code):
-        if isinstance(code, slice):
-            return CountingTable(super().__getitem__(code), self.count)
         self.count[0] += 1
         return super().__getitem__(code)
 
@@ -176,6 +176,20 @@ def round_combinations(members, complete, ranks):
         for k in ranks:
             yield r, k, end**k - start**k
         start = end
+
+
+def assert_evaluates_only_new_combinations(evaluated, members, complete, ranks, cost):
+    """Every round evaluates exactly its combinations that touch the previous
+    round's new members, ``cost(round, arity, count)`` in all, except a last
+    round stopped by the guard, which evaluates some of them."""
+    rounds: dict[int, int] = {}
+    for r, k, c in round_combinations(members, complete, ranks):
+        rounds[r] = rounds.get(r, 0) + cost(r, k, c)
+    total = sum(rounds.values())
+    if complete:
+        assert evaluated == total
+    else:
+        assert total - rounds[max(rounds)] <= evaluated <= total
 
 
 def evaluated_pairs(run):
@@ -243,7 +257,7 @@ def test_close_matches_naive_rounds_at_the_boundary(seed, shape, guard):
 
 def assert_kernels_agree(*args):
     members, complete = _code_fixpoint(*args)
-    expected, expected_complete = _column_fixpoint(*args)
+    expected, expected_complete = _vector_fixpoint(*args)
     assert list(members.items()) == list(expected.items())
     assert complete == expected_complete
     return members
@@ -251,10 +265,10 @@ def assert_kernels_agree(*args):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
-def test_code_kernel_matches_column_kernel(seed, shape, guard):
+def test_code_kernel_matches_vector_kernel(seed, shape, guard):
     """Both kernels on the same inputs of at most 256 points: the same
     members in the same order, the same witnesses and the same ``complete``
-    flag, with the column kernel as the oracle."""
+    flag, with the vector kernel as the oracle."""
     assume(not costly(shape, guard))
     alg, seeds, width = closure_case(seed, shape)
     n = len(alg.carrier)
@@ -277,14 +291,14 @@ def test_kernels_agree_on_full_one_slot_closures():
 
 @pytest.mark.parametrize("n, width, kernel", [
     (4, 4, "code"), (16, 2, "code"), (2, 8, "code"), (3, 5, "code"), (256, 1, "code"),
-    (1, 1, "code"), (2, 9, "column"), (3, 6, "column"), (17, 2, "column"),
-    (257, 1, "column"), (16, 16**4, "column")])
+    (1, 1, "code"), (2, 9, "vector"), (3, 6, "vector"), (17, 2, "vector"),
+    (257, 1, "vector"), (16, 16**4, "vector")])
 def test_kernel_is_chosen_by_the_power_size(monkeypatch, n, width, kernel):
     """The code kernel runs exactly when A^width has at most 256 points; a
     wide power, as for the generator on the 16-element semilattice, goes to
-    the column kernel."""
+    the vector kernel."""
     chosen = []
-    for name in ("code", "column"):
+    for name in ("code", "vector"):
         monkeypatch.setattr(elementary, f"_{name}_fixpoint",
                             lambda *args, name=name: chosen.append(name) or ({}, True))
     _fixpoint(n, [], {}, width)
@@ -294,7 +308,7 @@ def test_kernel_is_chosen_by_the_power_size(monkeypatch, n, width, kernel):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
 def test_close_evaluates_only_new_combinations(seed, shape, guard):
-    """Each round of the column kernel looks up exactly the combinations that
+    """Each round of the vector kernel looks up exactly the combinations that
     touch the previous round's new members: width lookups for each such
     combination of a non-nullary operation, and one per nullary operation in
     the first round."""
@@ -302,10 +316,11 @@ def test_close_evaluates_only_new_combinations(seed, shape, guard):
     alg, seeds, width = closure_case(seed, shape)
     count = [0]
     ops = [(symbol, k, CountingTable(flat, count)) for symbol, k, flat in _horner_tables(alg)]
-    members, complete = _column_fixpoint(len(alg.carrier), ops, indexed_seeds(alg, seeds),
+    members, complete = _vector_fixpoint(len(alg.carrier), ops, indexed_seeds(alg, seeds),
                                          width, guard)
-    assert count[0] == sum(width * c if k else r == 0 for r, k, c in round_combinations(
-        members, complete, [k for _symbol, k, _flat in ops]))
+    assert_evaluates_only_new_combinations(
+        count[0], members, complete, [k for _symbol, k, _flat in ops],
+        lambda r, k, c: width * c if k else r == 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,7 +328,8 @@ def test_close_evaluates_only_new_combinations(seed, shape, guard):
 def test_code_kernel_evaluates_only_new_combinations(seed, shape, guard):
     """The code kernel evaluates the same combinations, a last-slot block per
     head: its (head, last-slot) pairs are exactly the combinations of
-    non-nullary operations that touch the previous round's new members."""
+    non-nullary operations that touch the previous round's new members, but
+    for a round stopped by the guard."""
     assume(not costly(shape, guard))
     alg, seeds, width = closure_case(seed, shape)
     n = len(alg.carrier)
@@ -321,25 +337,26 @@ def test_code_kernel_evaluates_only_new_combinations(seed, shape, guard):
     ops = _horner_tables(alg)
     (members, complete), pairs = evaluated_pairs(
         lambda: _code_fixpoint(n, ops, indexed_seeds(alg, seeds), width, guard))
-    assert pairs == sum(c for _r, k, c in round_combinations(
-        members, complete, [k for _symbol, k, _flat in ops]) if k)
+    assert_evaluates_only_new_combinations(
+        pairs, members, complete, [k for _symbol, k, _flat in ops], lambda r, k, c: c if k else 0)
 
 
 @pytest.mark.parametrize("seed, size", [(0, 221), (1, 211)])
-def test_code_kernel_peaks_no_higher_than_column_kernel(seed, size):
+def test_code_kernel_peaks_no_higher_than_vector_kernel(seed, size):
     """A one-slot closure on four elements under one ternary operation,
-    stopped by guard 10 after a round over 9 members (81 heads, each a pair
-    of members): the code kernel keeps no lifted table per head pair, so
-    tracemalloc sees it peak no higher than the column kernel.  Keeping one
-    per head pair adds about 24 kB, four to six times the margin."""
+    stopped by the guard at the last member that its round over 9 members
+    finds (81 heads, each a pair of members): the code kernel keeps no lifted
+    table per head pair, so tracemalloc sees it peak no higher than the
+    vector kernel.  Keeping one per head pair adds about 27 kB, six to ten
+    times the margin."""
     carrier = Carrier(("a", "b", "c", "d"))
     rng = random.Random(seed)
     el = carrier.elements
     alg = Algebra("ternary", carrier, (op_from_rows(carrier, "t", ("a", "b", "c"), {
         args: rng.choice(el) for args in itertools.product(el, repeat=3)}),))
-    args = (4, _horner_tables(alg), {(0, 1, 2, 3): ("proj", "p")}, 4, 10)
+    args = (4, _horner_tables(alg), {(0, 1, 2, 3): ("proj", "p")}, 4, size - 1)
     peaks = []
-    for kernel in (_code_fixpoint, _column_fixpoint):
+    for kernel in (_code_fixpoint, _vector_fixpoint):
         kernel(*args)  # builds the code tables of A^4, kept for the process
         # a full collection also empties the free lists of tuples, so both
         # kernels are measured from the same state, whatever ran before
@@ -412,6 +429,15 @@ def test_guard_abandons():
     table = dict(zip(itertools.product(carrier.elements, repeat=2), values))
     alg = Algebra("wild", carrier, (op_from_rows(carrier, "f", ("l", "r"), table),))
     result = elementary_closure(alg, ("p", "q"), guard=5)
+    assert not result.complete
+
+
+def test_guard_stops_inside_the_round():
+    """The closure stops as soon as it holds guard + 1 members; on this draw
+    the round that passes the default guard would end with 19 678."""
+    alg, _frame = random_algebra(random.Random(9), max_size=4)
+    result = elementary_closure(alg, ("p", "q"))
+    assert len(result.functions) == elementary.DEFAULT_GUARD + 1 == 10_001
     assert not result.complete
 
 

@@ -282,6 +282,14 @@ def test_empty_frame_on_singleton(trivial):
     assert [chi.codes for chi in rep.conjugates] == [(0,)]
 
 
+def test_commutation_checker_on_the_empty_frame(trivial):
+    """k = 0 on one element: one matrix, the empty one, and the identity
+    commutes with its one conjugate."""
+    rep = build_representation(*trivial)
+    assert list(rep.matrices()) == [()]
+    assert commutation_checker(rep)((0,)) is None
+
+
 def test_empty_frame_on_nontrivial(semilattice2):
     alg, _frame = semilattice2
     rep = build_representation(alg, Frame((), {}))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .core import (Algebra, AlgebraError, Carrier, FunctionTable, GuardExceeded, Rank,
                    UnaryMap, expect_json, expect_strings, make_rank, read_json)
-from .elementary import elementary_generator
+from .elementary import CODE_POINTS, elementary_generator
 
 BRUTE_CAP = 100_000
 
@@ -109,31 +109,23 @@ def _unit_masks(codes, n: int, rank: int, positions: tuple[int, ...],
     return masks
 
 
-class _Level(NamedTuple):
-    """One depth of the search plan: branch on h(element), then run ``steps``."""
-
-    element: int
-    mask: int  # the values of h(element) allowed by rows that mention no other element
-    units: tuple  # (other elements, the allowed values per Horner code of theirs)
-    steps: tuple  # (args, res, codes, set): h[res] is set to, or checked against, codes[h . args]
-    unit_rows: tuple  # (table index, args) of every row folded into mask and units
-
-
-def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
+def _derive_plan(alg: Algebra) -> tuple[tuple, list[tuple]]:
     """The endomorphism search of ``alg`` as the seed's steps and one level per
-    branched element.
+    branched element, shared by both search kernels.
 
     Which elements propagation assigns depends only on which were branched
     on, not on their values: it is the subuniverse they generate with the
     constants.  So with a fixed branching order (the lowest unassigned
     element), every branch at a depth evaluates the same rows, and those rows
-    are compiled here once: forward checking under a static variable order
-    (Haralick & Elliott 1980).
+    are derived here once: forward checking under a static variable order
+    (Haralick & Elliott 1980).  A step is (table index, args, res, set): h[res]
+    is set to, or checked against, the table at h . args.  A level is (element,
+    unit rows, steps); its unit rows are checks that mention the element and
+    otherwise only elements assigned before, result included.
     """
     n = len(alg.carrier)
-    tables = alg.tables
     # every row as (table index, args, res, the set of its arguments)
-    pending = [(t, args, res, frozenset(args)) for t, table in enumerate(tables)
+    pending = [(t, args, res, frozenset(args)) for t, table in enumerate(alg.tables)
                for args, res in zip(itertools.product(range(n), repeat=len(table.rank)),
                                     table.codes)]
     assigned: set[int] = set()
@@ -145,12 +137,11 @@ def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
         while ready := [row for row in pending if row[3] <= assigned]:
             pending = [row for row in pending if not row[3] <= assigned]
             for t, args, res, _ in ready:
-                steps.append((args, res, tables[t].codes, res not in assigned))
+                steps.append((t, args, res, res not in assigned))
                 assigned.add(res)
         return tuple(steps)
 
     seed = derive()
-    cache: dict[tuple, list[int]] = {}  # (table, positions of e, result is e) -> masks
     levels = []
     while len(assigned) < n:
         e = min(set(range(n)) - assigned)
@@ -158,6 +149,35 @@ def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
         # the rows that mention e and otherwise only elements assigned before
         unit_rows = [row for row in pending if row[3] <= assigned and row[2] in assigned]
         pending = [row for row in pending if not (row[3] <= assigned and row[2] in assigned)]
+        levels.append((e, tuple((t, args, res, False) for t, args, res, _ in unit_rows),
+                       derive()))
+    return seed, levels
+
+
+class _Level(NamedTuple):
+    """One depth of the depth-first plan: branch on h(element), then run ``steps``."""
+
+    element: int
+    mask: int  # the values of h(element) allowed by rows that mention no other element
+    units: tuple  # (other elements, the allowed values per Horner code of theirs)
+    steps: tuple  # (args, res, codes, set): h[res] is set to, or checked against, codes[h . args]
+    unit_rows: tuple  # (table index, args) of every row folded into mask and units
+
+
+def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
+    """``_derive_plan`` for the depth-first kernel: steps read their table's
+    codes, and each level's unit rows are folded into bitmasks of the values
+    of h(element) they allow, one per Horner code of the other elements."""
+    n = len(alg.carrier)
+    tables = alg.tables
+    seed, derived = _derive_plan(alg)
+
+    def compiled(steps) -> tuple:
+        return tuple((args, res, tables[t].codes, is_set) for t, args, res, is_set in steps)
+
+    cache: dict[tuple, list[int]] = {}  # (table, positions of e, result is e) -> masks
+    levels = []
+    for e, unit_rows, steps in derived:
         grouped: dict[tuple, list[int]] = {}  # other elements -> their rows' masks, ANDed
         for t, args, res, _ in unit_rows:
             key = (t, tuple(i for i, a in enumerate(args) if a == e), res == e)
@@ -167,9 +187,9 @@ def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
             prior = grouped.get(others, cache[key])
             grouped[others] = [a & b for a, b in zip(prior, cache[key])]
         mask = grouped.pop((), [(1 << n) - 1])[0]
-        levels.append(_Level(e, mask, tuple(grouped.items()), derive(),
+        levels.append(_Level(e, mask, tuple(grouped.items()), compiled(steps),
                              tuple((t, args) for t, args, *_ in unit_rows)))
-    return seed, tuple(levels)
+    return compiled(seed), tuple(levels)
 
 
 def _run(steps, h: list, n: int) -> bool:
@@ -218,15 +238,106 @@ def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
     return out
 
 
+BLOCK_ROWS = 1 << 16  # the most partial maps the byte kernel expands at once
+_KEEP = b"\1" + bytes(CODE_POINTS - 1)  # a zero defect byte keeps its map
+_DROP = b"\0" + b"\xff" * (CODE_POINTS - 1)  # and any other drops it
+
+
+def _column_search(alg: Algebra) -> list[bytes]:
+    """Breadth-first search over the derived plan, for n <= CODE_POINTS and
+    tables of at most CODE_POINTS codes: the endomorphisms as one column per
+    element, holding h(element) for every h, one byte each.
+
+    The columns hold the partial maps alive at a level.  The level repeats
+    them once per value of the branched element and adds the element's
+    column, value-major.  Each table row the level makes ready is evaluated
+    on all partial maps at once: its argument columns are Horner-combined as
+    big integers, which cannot carry, as every partial code is below
+    CODE_POINTS, and one ``translate`` through the table gives the values.
+    A check ORs the XOR of those values and the result's column into a
+    defect, whose zero bytes mark the maps kept in every column.  At most
+    BLOCK_ROWS partial maps are expanded at once.
+    """
+    n = len(alg.carrier)
+    tables = [bytes(t.codes).ljust(CODE_POINTS, b"\0") for t in alg.tables]
+    seed, levels = _derive_plan(alg)
+
+    def evaluate(block: list, size: int, rows) -> tuple[list, int]:
+        """Run the plan ``rows`` on the ``size`` partial maps of ``block``, its
+        columns read as big integers (None where unassigned); return the
+        columns of the maps that pass every check, and their number."""
+        defect = 0
+        for t, args, res, is_set in rows:
+            total = 0
+            for a in args:
+                total = total * n + block[a]
+            values = int.from_bytes(total.to_bytes(size, "big").translate(tables[t]), "big")
+            if is_set:
+                block[res] = values
+            else:
+                defect |= values ^ block[res]
+        if not defect:
+            return [c if c is None else c.to_bytes(size, "big") for c in block], size
+        marks = defect.to_bytes(size, "big")
+        if n < CODE_POINTS:
+            # a failed map reads 255, which no element is, in every column: delete it
+            drop = int.from_bytes(marks.translate(_DROP), "big")
+            columns = [c if c is None else (c | drop).to_bytes(size, "big").translate(None, b"\xff")
+                       for c in block]
+        else:
+            keep = marks.translate(_KEEP)
+            columns = [c if c is None else bytes(itertools.compress(c.to_bytes(size, "big"), keep))
+                       for c in block]
+        return columns, marks.count(0)
+
+    columns, size = evaluate([None] * n, 1, seed)  # no check of the seed fails
+    width = max(1, BLOCK_ROWS // n)  # partial maps per block, before expanding
+    for e, unit_rows, steps in levels:
+        rows = unit_rows + steps
+        parts = []
+        for lo in range(0, size, width):
+            count = min(width, size - lo)
+            block = [c if c is None else int.from_bytes(c[lo:lo + width] * n, "big")
+                     for c in columns]
+            block[e] = int.from_bytes(b"".join(bytes([v]) * count for v in range(n)), "big")
+            parts.append(evaluate(block, count * n, rows))
+        if len(parts) == 1:
+            columns, size = parts[0]
+        else:
+            size = sum(count for _, count in parts)
+            columns = [c if c is None else b"".join(part[a] for part, _ in parts)
+                       for a, c in enumerate(parts[0][0])]
+        if not size:
+            return [b""] * n
+    return columns
+
+
+def _enumerate_columns(alg: Algebra) -> set[UnaryMap]:
+    carrier = alg.carrier
+    return {UnaryMap(carrier, codes) for codes in zip(*_column_search(alg))}
+
+
+def _search_kernel(alg: Algebra):
+    """The search for ``alg``'s shape: the byte kernel when the carrier has
+    at most CODE_POINTS elements and every table at most CODE_POINTS codes,
+    so that each value and each Horner code fits a byte; else the depth-first
+    kernel, which is also the byte kernel's test oracle."""
+    fits = len(alg.carrier) <= CODE_POINTS and all(len(t.codes) <= CODE_POINTS
+                                                   for t in alg.tables)
+    return _enumerate_columns if fits else _enumerate_backtrack
+
+
 def enumerate_endomorphisms(alg: Algebra, method: str = "backtrack",
                             cap: int = BRUTE_CAP) -> set[UnaryMap]:
+    """End(A) as unary maps: "brute" tries every map A -> A (at most ``cap``),
+    "backtrack" runs the derived plan in the kernel that the shape picks."""
     if not alg.is_tabulated:
         raise AlgebraError("endomorphism enumeration needs a tabulated algebra; "
                            "gallery algebras supply symbolic families instead")
     if method == "brute":
         return _enumerate_brute(alg, cap)
     if method == "backtrack":
-        return _enumerate_backtrack(alg)
+        return _search_kernel(alg)(alg)
     raise AlgebraError(f"unknown method {method!r}")
 
 
@@ -337,13 +448,20 @@ def commutation_checker(rep: Representation):
     vectors = ["".join(map(chr, column)) for column in
                zip(*(chi.codes for chi in rep.conjugates))]
     chi = "".join(vectors)
+    # the vectors in rows of n, one row per code of M's first k - 1 entries
+    rows = [vectors[i:i + n] for i in range(0, len(vectors), n)]
 
     def defect(values: tuple[int, ...]) -> Matrix | None:
-        moved = [0]  # the Horner codes of h . M for every M in canonical order
-        for _ in range(k):
-            moved = [c * n + v for c in moved for v in values]
         after = chi.translate(values)
-        before = "".join(map(vectors.__getitem__, moved))
+        if k:
+            heads = [0]  # the Horner codes of h . M's first k - 1 entries, in M's order
+            for _ in range(k - 1):
+                heads = [c * n + v for c in heads for v in values]
+            # M's last entry runs fastest: h . M over a row is the row picked at h
+            pick = operator.itemgetter(*values) if n > 1 else tuple  # n = 1: one value, 0
+            before = "".join(itertools.chain.from_iterable(map(pick, map(rows.__getitem__, heads))))
+        else:
+            before = chi  # the one matrix is empty, and so is h of it
         if after == before:
             return None
         i = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)

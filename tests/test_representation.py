@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,14 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import based_algebra, op_from_rows, random_algebra
-from ualgebra import cli
+from ualgebra import cli, representation
 from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable, Operation, UnaryMap
 from ualgebra.gallery import build_boolean_example, build_powerset_semilattice
 from ualgebra.gallery.pert import pert_algebra
 from ualgebra.representation import (
     BRUTE_CAP,
     Frame,
+    _column_search,
     _compile_plan,
+    _enumerate_backtrack,
+    _enumerate_brute,
+    _enumerate_columns,
+    _search_kernel,
     build_representation,
     commutation_checker,
     endomorphism_generators,
@@ -61,7 +67,9 @@ def test_boolean_endo_count(boolean):
 
 def test_trivial_endo_count(trivial):
     alg, _frame = trivial
-    assert enumerate_endomorphisms(alg) == {UnaryMap(alg.carrier, (0,))}
+    identity = {UnaryMap(alg.carrier, (0,))}
+    assert enumerate_endomorphisms(alg) == kernels_agree(alg) == identity
+    assert kernels_agree(constant_algebra(1, (0,))) == identity  # a constant alone
 
 
 def test_methods_agree_on_fixtures(semilattice2, boolean, trivial):
@@ -83,6 +91,17 @@ def test_methods_agree_at_size_five():
         assert enumerate_endomorphisms(alg, "brute") == enumerate_endomorphisms(alg, "backtrack")
 
 
+def kernels_agree(alg: Algebra) -> set:
+    """The byte kernel's endomorphisms, checked against the depth-first
+    kernel, and against brute force when n**n is within its cap."""
+    found = _enumerate_columns(alg)
+    assert found == _enumerate_backtrack(alg)
+    n = len(alg.carrier)
+    if n**n <= BRUTE_CAP:
+        assert found == _enumerate_brute(alg, BRUTE_CAP)
+    return found
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dropped=st.sets(st.sampled_from(("f", "u"))),
        constants=st.lists(st.integers(0, 4), max_size=2),
@@ -96,7 +115,7 @@ def test_backtrack_matches_brute(seed, dropped, constants, ternary):
     # value is one of its arguments) keeps every subset a subuniverse, so its
     # rows become unit rows of every pattern.
     rng = random.Random(seed)
-    alg, _frame = random_algebra(rng, max_size=5)
+    alg, _frame = random_algebra(rng, max_size=6)
     elements = alg.carrier.elements
     ops = tuple(f for f in alg.ops if f.symbol not in dropped)
     ops += tuple(op_from_rows(alg.carrier, f"k{i}", (), {(): elements[c % len(elements)]})
@@ -105,7 +124,8 @@ def test_backtrack_matches_brute(seed, dropped, constants, ternary):
         ops += (ternary_operation(rng, alg.carrier, ternary == "conservative"),)
     assume(ops)
     alg = Algebra(alg.name, alg.carrier, ops)
-    assert enumerate_endomorphisms(alg, "backtrack") == enumerate_endomorphisms(alg, "brute")
+    assert _search_kernel(alg) is _enumerate_columns
+    assert enumerate_endomorphisms(alg, "backtrack") == kernels_agree(alg)
 
 
 def ternary_operation(rng: random.Random, carrier, conservative: bool) -> Operation:
@@ -211,12 +231,137 @@ def max_chain(rng: random.Random, n: int) -> Algebra:
     return Algebra("chain", carrier, (op_from_rows(carrier, "max", ("l", "r"), table),))
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_relabeled_chain_endo_count(n):
     # endomorphisms of a max-chain are the monotone self-maps: C(2n-1, n)
     rng = random.Random(n)
     for _ in range(3):
-        assert len(enumerate_endomorphisms(max_chain(rng, n))) == math.comb(2 * n - 1, n)
+        alg = max_chain(rng, n)
+        assert len(enumerate_endomorphisms(alg)) == len(kernels_agree(alg)) == math.comb(2 * n - 1, n)
+
+
+def constant_algebra(n: int, arities) -> Algebra:
+    """n elements and one operation per arity, each constantly the first element."""
+    carrier = Carrier(tuple(f"a{i}" for i in range(n)))
+    ops = tuple(Operation(f"k{i}", rank, table=FunctionTable(carrier, rank, (0,) * n ** k))
+                for i, k in enumerate(arities)
+                for rank in [tuple(f"x{j}" for j in range(k))])
+    return Algebra("constant", carrier, ops)
+
+
+def test_kernels_agree_on_based_algebras():
+    for seed in range(12):
+        alg, _frame = based_algebra(random.Random(seed))
+        assert len(kernels_agree(alg)) == len(alg.carrier) ** len(_frame.X)
+
+
+def projection_algebra(n: int) -> Algebra:
+    """n elements with the unary identity and the binary left projection.  An
+    algebra needs an operation, and these constrain nothing: every map A -> A
+    is an endomorphism, as with no operations at all."""
+    carrier = Carrier(tuple(f"a{i}" for i in range(n)))
+    identity = FunctionTable(carrier, ("x",), tuple(range(n)))
+    left = FunctionTable(carrier, ("l", "r"), tuple(a for a in range(n) for _ in range(n)))
+    return Algebra("projections", carrier, (Operation("id", ("x",), table=identity),
+                                            Operation("left", ("l", "r"), table=left)))
+
+
+def test_kernels_agree_without_constraints():
+    # no row prunes, and every element is branched on
+    for n in (1, 2, 3, 4, 5):
+        alg = projection_algebra(n)
+        assert kernels_agree(alg) == {UnaryMap(alg.carrier, values)
+                                      for values in itertools.product(range(n), repeat=n)}
+
+
+def test_kernels_agree_past_the_block_size(semilattice3, monkeypatch):
+    # blocks of a few partial maps: every level of these searches runs in
+    # many blocks, some of which lose every map.  Without random_algebra's
+    # binary operation more maps survive to the later levels.
+    rng = random.Random(17)
+    algebras = [semilattice3[0], max_chain(rng, 6), projection_algebra(4)]
+    for _ in range(10):
+        alg, _frame = random_algebra(rng, max_size=5)
+        ops = alg.ops + (ternary_operation(rng, alg.carrier, True),)
+        algebras.append(Algebra(alg.name, alg.carrier, ops[1:]))
+    whole = [_enumerate_columns(alg) for alg in algebras]
+    for rows in (8, 16, 24):
+        monkeypatch.setattr(representation, "BLOCK_ROWS", rows)
+        assert [kernels_agree(alg) for alg in algebras] == whole
+
+
+@pytest.mark.parametrize("n, arities, kernel", [
+    (16, (2,), _enumerate_columns),
+    (6, (3,), _enumerate_columns),
+    (256, (1,), _enumerate_columns),
+    (16, (0, 1, 2), _enumerate_columns),
+    (17, (2,), _enumerate_backtrack),
+    (7, (3,), _enumerate_backtrack),
+    (257, (0,), _enumerate_backtrack),  # one code, but a value past a byte
+    (16, (1, 2, 3), _enumerate_backtrack),
+])
+def test_shape_rule(n, arities, kernel):
+    # the byte kernel when n and every table's code count are at most 256
+    assert _search_kernel(constant_algebra(n, arities)) is kernel
+
+
+def test_byte_kernel_on_256_elements():
+    # n = 256 leaves no byte value spare, so failed maps are dropped by position:
+    # a successor map whose last element returns to 128, and a constant map,
+    # which forces h(0) = 0; h is then the identity on the successor's orbit
+    # of 0, which is everything
+    n = 256
+    carrier = Carrier(tuple(f"a{i}" for i in range(n)))
+    rank = ("x",)
+    succ = FunctionTable(carrier, rank, tuple(range(1, n)) + (128,))
+    ops = (Operation("s", rank, table=succ),
+           Operation("z", rank, table=FunctionTable(carrier, rank, (0,) * n)))
+    alg = Algebra("rho", carrier, ops)
+    assert _search_kernel(alg) is _enumerate_columns
+    identity = {UnaryMap(carrier, tuple(range(n)))}
+    assert _enumerate_columns(alg) == identity == _enumerate_backtrack(alg)
+    # without the constant map, h(0) is free and fixes all of h
+    alg = Algebra("rho", carrier, ops[:1])
+    assert len(kernels_agree(alg)) == n
+
+
+def retract_algebra(n: int) -> Algebra:
+    """One unary operation that fixes every element but the last, which it
+    sends to the first: the search branches on every element, each level
+    keeps the n - 1 fixed values, and the last level's row u(last) = first
+    keeps the maps whose h(last) is sent to h(first)."""
+    carrier = Carrier(tuple(f"a{i}" for i in range(n)))
+    table = FunctionTable(carrier, ("x",), tuple(range(n - 1)) + (0,))
+    return Algebra("retract", carrier, (Operation("u", ("x",), table=table),))
+
+
+def traced_search(alg: Algebra) -> tuple[list[bytes], int]:
+    tracemalloc.start()
+    try:
+        columns = _column_search(alg)
+        return columns, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_split_search_memory(monkeypatch):
+    # 7 elements: the last level expands 6**6 partial maps to 7 * 6**6, whose
+    # 7 columns take 2.3 MB; 6**5 * 7 maps survive (h(6) in {0, 6} when h(0)
+    # is 0, and h(6) = h(0) otherwise)
+    n = 7
+    alg = retract_algebra(n)
+    expanded = n * 6 ** 6 * n  # bytes of the expanded last level
+    columns, peak = traced_search(alg)
+    assert len(columns[0]) == 6 ** 5 * 7
+    assert {UnaryMap(alg.carrier, values) for values in zip(*columns)} \
+        == _enumerate_backtrack(alg)
+    monkeypatch.setattr(representation, "BLOCK_ROWS", 1 << 30)
+    unsplit, unsplit_peak = traced_search(alg)
+    # the blocks order the maps differently, but hold the same ones
+    assert set(zip(*unsplit)) == set(zip(*columns))
+    # blocks of at most 2**16 partial maps never hold the expanded level at once
+    assert peak < expanded < unsplit_peak
+    assert 2 * peak < unsplit_peak
 
 
 def test_rule_based_rejected():

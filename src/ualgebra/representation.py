@@ -239,12 +239,11 @@ def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
 
 
 BLOCK_ROWS = 1 << 16  # the most partial maps the byte kernel expands at once
-_KEEP = b"\1" + bytes(CODE_POINTS - 1)  # a zero defect byte keeps its map
-_DROP = b"\0" + b"\xff" * (CODE_POINTS - 1)  # and any other drops it
+_DROP = b"\0" + b"\xff" * (CODE_POINTS - 1)  # a zero defect byte keeps its map, any other drops it
 
 
 def _column_search(alg: Algebra) -> list[bytes]:
-    """Breadth-first search over the derived plan, for n <= CODE_POINTS and
+    """Breadth-first search over the derived plan, for n < CODE_POINTS and
     tables of at most CODE_POINTS codes: the endomorphisms as one column per
     element, holding h(element) for every h, one byte each.
 
@@ -279,15 +278,10 @@ def _column_search(alg: Algebra) -> list[bytes]:
         if not defect:
             return [c if c is None else c.to_bytes(size, "big") for c in block], size
         marks = defect.to_bytes(size, "big")
-        if n < CODE_POINTS:
-            # a failed map reads 255, which no element is, in every column: delete it
-            drop = int.from_bytes(marks.translate(_DROP), "big")
-            columns = [c if c is None else (c | drop).to_bytes(size, "big").translate(None, b"\xff")
-                       for c in block]
-        else:
-            keep = marks.translate(_KEEP)
-            columns = [c if c is None else bytes(itertools.compress(c.to_bytes(size, "big"), keep))
-                       for c in block]
+        # a failed map reads 255, which no element is, in every column: delete it
+        drop = int.from_bytes(marks.translate(_DROP), "big")
+        columns = [c if c is None else (c | drop).to_bytes(size, "big").translate(None, b"\xff")
+                   for c in block]
         return columns, marks.count(0)
 
     columns, size = evaluate([None] * n, 1, seed)  # no check of the seed fails
@@ -319,11 +313,12 @@ def _enumerate_columns(alg: Algebra) -> set[UnaryMap]:
 
 def _search_kernel(alg: Algebra):
     """The search for ``alg``'s shape: the byte kernel when the carrier has
-    at most CODE_POINTS elements and every table at most CODE_POINTS codes,
-    so that each value and each Horner code fits a byte; else the depth-first
-    kernel, which is also the byte kernel's test oracle."""
-    fits = len(alg.carrier) <= CODE_POINTS and all(len(t.codes) <= CODE_POINTS
-                                                   for t in alg.tables)
+    fewer than CODE_POINTS elements and every table at most CODE_POINTS codes,
+    so that each value and each Horner code fits a byte and 255 is free to
+    mark failed maps; else the depth-first kernel, which is also the byte
+    kernel's test oracle."""
+    fits = len(alg.carrier) < CODE_POINTS and all(len(t.codes) <= CODE_POINTS
+                                                  for t in alg.tables)
     return _enumerate_columns if fits else _enumerate_backtrack
 
 

@@ -293,36 +293,38 @@ def test_kernels_agree_past_the_block_size(semilattice3, monkeypatch):
 @pytest.mark.parametrize("n, arities, kernel", [
     (16, (2,), _enumerate_columns),
     (6, (3,), _enumerate_columns),
-    (256, (1,), _enumerate_columns),
+    (255, (1,), _enumerate_columns),
     (16, (0, 1, 2), _enumerate_columns),
     (17, (2,), _enumerate_backtrack),
     (7, (3,), _enumerate_backtrack),
+    (256, (1,), _enumerate_backtrack),  # no byte value left to mark failed maps
     (257, (0,), _enumerate_backtrack),  # one code, but a value past a byte
     (16, (1, 2, 3), _enumerate_backtrack),
 ])
 def test_shape_rule(n, arities, kernel):
-    # the byte kernel when n and every table's code count are at most 256
+    # the byte kernel when n is below 256 and every table has at most 256 codes
     assert _search_kernel(constant_algebra(n, arities)) is kernel
 
 
-def test_byte_kernel_on_256_elements():
-    # n = 256 leaves no byte value spare, so failed maps are dropped by position:
+@pytest.mark.parametrize("n, kernel", [(255, _enumerate_columns), (256, _enumerate_backtrack)])
+def test_successor_algebra_at_the_byte_boundary(n, kernel):
     # a successor map whose last element returns to 128, and a constant map,
     # which forces h(0) = 0; h is then the identity on the successor's orbit
-    # of 0, which is everything
-    n = 256
+    # of 0, which is everything.  255 elements is the byte kernel's largest
+    # carrier; 256 leave no byte value to mark failed maps, so the depth-first
+    # kernel runs
     carrier = Carrier(tuple(f"a{i}" for i in range(n)))
     rank = ("x",)
     succ = FunctionTable(carrier, rank, tuple(range(1, n)) + (128,))
     ops = (Operation("s", rank, table=succ),
            Operation("z", rank, table=FunctionTable(carrier, rank, (0,) * n)))
     alg = Algebra("rho", carrier, ops)
-    assert _search_kernel(alg) is _enumerate_columns
-    identity = {UnaryMap(carrier, tuple(range(n)))}
-    assert _enumerate_columns(alg) == identity == _enumerate_backtrack(alg)
+    assert _search_kernel(alg) is kernel
+    assert kernel(alg) == {UnaryMap(carrier, tuple(range(n)))} == _enumerate_backtrack(alg)
     # without the constant map, h(0) is free and fixes all of h
     alg = Algebra("rho", carrier, ops[:1])
-    assert len(kernels_agree(alg)) == n
+    found = kernel(alg)
+    assert len(found) == n and found == _enumerate_backtrack(alg)
 
 
 def retract_algebra(n: int) -> Algebra:

@@ -15,6 +15,7 @@ from .core import AlgebraError, Carrier, FunctionTable, Rank, tabulate
 
 
 def constant_fn(carrier: Carrier, a: str, rank: Rank) -> FunctionTable:
+    """The table of ``rank`` constantly ``a``.  Only tests call it, as oracle vocabulary."""
     if a not in carrier:
         raise AlgebraError(f"constant value outside carrier: {a}")
     return tabulate(carrier, rank, lambda _args: a)
@@ -30,7 +31,7 @@ def exchange(m: dict, inner_labels=None) -> dict:
 
     When the outer index set is empty the inner labels cannot be recovered
     from ``m`` and must be supplied explicitly; the result then sends each
-    inner label to the empty indexing.
+    inner label to the empty indexing.  Only tests call it, as oracle vocabulary.
     """
     if not m:
         if inner_labels is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .core import (Algebra, AlgebraError, Carrier, FunctionTable, GuardExceeded, Rank,
                    UnaryMap, expect_json, expect_strings, make_rank, read_json)
@@ -87,47 +86,26 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
     return out
 
 
-def _unit_masks(codes, n: int, rank: int, positions: tuple[int, ...],
-                result_is_e: bool) -> list[int]:
-    """For a row in which e fills ``positions`` among the arguments, and the
-    result too when ``result_is_e``: the bitmask of the values of h(e) that
-    satisfy it, indexed by the Horner code of the other arguments' values,
-    followed by the result's value when the result is not e."""
-    # the Horner code of the arguments is base + v * step, where base holds
-    # the other arguments' values and step the place values of e's positions
-    step = sum(n ** (rank - 1 - i) for i in positions)
-    places = [n ** (rank - 1 - i) for i in range(rank) if i not in positions]
-    masks = [0] * n ** (len(places) + (not result_is_e))
-    for key, rest in enumerate(itertools.product(range(n), repeat=len(places))):
-        base = sum(map(operator.mul, rest, places))
-        for v in range(n):
-            value = codes[base + v * step]
-            if not result_is_e:
-                masks[key * n + value] |= 1 << v
-            elif value == v:
-                masks[key] |= 1 << v
-    return masks
-
-
-def _derive_plan(alg: Algebra) -> tuple[tuple, list[tuple]]:
+def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
     """The endomorphism search of ``alg`` as the seed's steps and one level per
-    branched element, shared by both search kernels.
+    branched element, shared by both search kernels; ``tables`` holds each
+    operation's table in the form the kernel evaluates.
 
     Which elements propagation assigns depends only on which were branched
     on, not on their values: it is the subuniverse they generate with the
     constants.  So with a fixed branching order (the lowest unassigned
     element), every branch at a depth evaluates the same rows, and those rows
     are derived here once: forward checking under a static variable order
-    (Haralick & Elliott 1980).  A step is (table index, args, res, set): h[res]
-    is set to, or checked against, the table at h . args.  A level is (element,
-    unit rows, steps); its unit rows are checks that mention the element and
-    otherwise only elements assigned before, result included.
+    (Haralick & Elliott 1980).  A step is (table, args, res, set): h[res] is
+    set to, or checked against, the table at h . args.  A level is (element,
+    steps), and its steps open with the unit rows: checks of the rows that
+    mention the element and otherwise only elements assigned before, result
+    included.
     """
     n = len(alg.carrier)
-    # every row as (table index, args, res, the set of its arguments)
-    pending = [(t, args, res, frozenset(args)) for t, table in enumerate(alg.tables)
-               for args, res in zip(itertools.product(range(n), repeat=len(table.rank)),
-                                    table.codes)]
+    # every row as (table, args, res, the set of its arguments)
+    pending = [(table, args, res, frozenset(args)) for table, t in zip(tables, alg.tables)
+               for args, res in zip(itertools.product(range(n), repeat=len(t.rank)), t.codes)]
     assigned: set[int] = set()
 
     def derive() -> tuple:
@@ -136,8 +114,8 @@ def _derive_plan(alg: Algebra) -> tuple[tuple, list[tuple]]:
         steps = []
         while ready := [row for row in pending if row[3] <= assigned]:
             pending = [row for row in pending if not row[3] <= assigned]
-            for t, args, res, _ in ready:
-                steps.append((t, args, res, res not in assigned))
+            for table, args, res, _ in ready:
+                steps.append((table, args, res, res not in assigned))
                 assigned.add(res)
         return tuple(steps)
 
@@ -149,91 +127,46 @@ def _derive_plan(alg: Algebra) -> tuple[tuple, list[tuple]]:
         # the rows that mention e and otherwise only elements assigned before
         unit_rows = [row for row in pending if row[3] <= assigned and row[2] in assigned]
         pending = [row for row in pending if not (row[3] <= assigned and row[2] in assigned)]
-        levels.append((e, tuple((t, args, res, False) for t, args, res, _ in unit_rows),
-                       derive()))
+        levels.append((e, tuple((table, args, res, False) for table, args, res, _ in unit_rows)
+                       + derive()))
     return seed, levels
 
 
-class _Level(NamedTuple):
-    """One depth of the depth-first plan: branch on h(element), then run ``steps``."""
-
-    element: int
-    mask: int  # the values of h(element) allowed by rows that mention no other element
-    units: tuple  # (other elements, the allowed values per Horner code of theirs)
-    steps: tuple  # (args, res, codes, set): h[res] is set to, or checked against, codes[h . args]
-    unit_rows: tuple  # (table index, args) of every row folded into mask and units
-
-
-def _compile_plan(alg: Algebra) -> tuple[tuple, tuple[_Level, ...]]:
-    """``_derive_plan`` for the depth-first kernel: steps read their table's
-    codes, and each level's unit rows are folded into bitmasks of the values
-    of h(element) they allow, one per Horner code of the other elements."""
-    n = len(alg.carrier)
-    tables = alg.tables
-    seed, derived = _derive_plan(alg)
-
-    def compiled(steps) -> tuple:
-        return tuple((args, res, tables[t].codes, is_set) for t, args, res, is_set in steps)
-
-    cache: dict[tuple, list[int]] = {}  # (table, positions of e, result is e) -> masks
-    levels = []
-    for e, unit_rows, steps in derived:
-        grouped: dict[tuple, list[int]] = {}  # other elements -> their rows' masks, ANDed
-        for t, args, res, _ in unit_rows:
-            key = (t, tuple(i for i, a in enumerate(args) if a == e), res == e)
-            if key not in cache:
-                cache[key] = _unit_masks(tables[t].codes, n, len(args), *key[1:])
-            others = tuple(a for a in args if a != e) + ((res,) if res != e else ())
-            prior = grouped.get(others, cache[key])
-            grouped[others] = [a & b for a, b in zip(prior, cache[key])]
-        mask = grouped.pop((), [(1 << n) - 1])[0]
-        levels.append(_Level(e, mask, tuple(grouped.items()), compiled(steps),
-                             tuple((t, args) for t, args, *_ in unit_rows)))
-    return compiled(seed), tuple(levels)
-
-
-def _run(steps, h: list, n: int) -> bool:
-    """Run plan steps on h; False when a check fails."""
-    for args, res, codes, is_set in steps:
-        code = 0
-        for a in args:
-            code = code * n + h[a]
-        if is_set:
-            h[res] = codes[code]
-        elif h[res] != codes[code]:
-            return False
-    return True
-
-
 def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
-    """Depth-first search over the compiled plan: at each depth, try the values
-    of h(element) that every unit mask allows, then run the level's steps."""
+    """Depth-first search over the derived plan: at each depth, try every value
+    of h(element) and run the level's steps, its unit-row checks first."""
     carrier = alg.carrier
     n = len(carrier)
-    seed, levels = _compile_plan(alg)
+    seed, levels = _derive_plan(alg, [t.codes for t in alg.tables])
     out: set[UnaryMap] = set()
     # the positions written at a depth are the same on every branch, so one
     # list serves the whole search: nothing is copied or undone
     h = [0] * n
 
+    def run(steps, h=h, n=n) -> bool:
+        """Run plan steps on h; False when a check fails.  The defaults bind
+        h and n as locals: this is the search's inner loop."""
+        for codes, args, res, is_set in steps:
+            code = 0
+            for a in args:
+                code = code * n + h[a]
+            if is_set:
+                h[res] = codes[code]
+            elif h[res] != codes[code]:
+                return False
+        return True
+
     def search(depth: int):
         if depth == len(levels):
             out.add(UnaryMap(carrier, tuple(h)))
             return
-        e, mask, units, steps, _ = levels[depth]
-        for others, masks in units:
-            code = 0
-            for o in others:
-                code = code * n + h[o]
-            mask &= masks[code]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            h[e] = low.bit_length() - 1
-            if _run(steps, h, n):
+        e, steps = levels[depth]
+        for v in range(n):
+            h[e] = v
+            if run(steps):
                 search(depth + 1)
 
-    _run(seed, h, n)  # h becomes the identity on the constants' subuniverse: no check fails
+    run(seed)  # h becomes the identity on the constants' subuniverse: no check fails
     search(0)
     return out
 
@@ -258,19 +191,19 @@ def _column_search(alg: Algebra) -> list[bytes]:
     BLOCK_ROWS partial maps are expanded at once.
     """
     n = len(alg.carrier)
-    tables = [bytes(t.codes).ljust(CODE_POINTS, b"\0") for t in alg.tables]
-    seed, levels = _derive_plan(alg)
+    seed, levels = _derive_plan(alg, [bytes(t.codes).ljust(CODE_POINTS, b"\0")
+                                      for t in alg.tables])
 
     def evaluate(block: list, size: int, rows) -> tuple[list, int]:
         """Run the plan ``rows`` on the ``size`` partial maps of ``block``, its
         columns read as big integers (None where unassigned); return the
         columns of the maps that pass every check, and their number."""
         defect = 0
-        for t, args, res, is_set in rows:
+        for table, args, res, is_set in rows:
             total = 0
             for a in args:
                 total = total * n + block[a]
-            values = int.from_bytes(total.to_bytes(size, "big").translate(tables[t]), "big")
+            values = int.from_bytes(total.to_bytes(size, "big").translate(table), "big")
             if is_set:
                 block[res] = values
             else:
@@ -286,8 +219,7 @@ def _column_search(alg: Algebra) -> list[bytes]:
 
     columns, size = evaluate([None] * n, 1, seed)  # no check of the seed fails
     width = max(1, BLOCK_ROWS // n)  # partial maps per block, before expanding
-    for e, unit_rows, steps in levels:
-        rows = unit_rows + steps
+    for e, rows in levels:
         parts = []
         for lo in range(0, size, width):
             count = min(width, size - lo)
@@ -344,6 +276,7 @@ class Representation:
     sampling: dict[UnaryMap, Matrix] = field(compare=False)
     bijective: bool = False
     failure: dict | None = field(default=None, compare=False)
+    # the sampling's inverse; only tests read it, as oracle vocabulary
     extension: dict[Matrix, UnaryMap] | None = field(default=None, compare=False)
     # conjugates[a] is chi_a, the conjugate function of the element of index a
     conjugates: tuple[FunctionTable, ...] | None = field(default=None, compare=False)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -53,6 +54,18 @@ def random_algebra(rng: random.Random, max_size: int = 4):
     labels = tuple(f"x{i}" for i in range(k))
     frame = Frame(labels, {x: rng.choice(elements) for x in labels})
     return alg, frame
+
+
+def vector_space(p: int, k: int) -> Algebra:
+    """GF(p)^k with ``plus`` and ``zero``, each vector named by its
+    coordinates, the first one running slowest."""
+    vectors = list(itertools.product(range(p), repeat=k))
+    carrier = Carrier(tuple("".join(map(str, v)) for v in vectors))
+    index = {v: i for i, v in enumerate(vectors)}
+    plus = tuple(index[tuple((a + b) % p for a, b in zip(u, v))] for u in vectors for v in vectors)
+    return Algebra(f"GF({p})^{k}", carrier,
+                   (Operation("plus", ("l", "r"), table=FunctionTable(carrier, ("l", "r"), plus)),
+                    Operation("zero", (), table=FunctionTable(carrier, (), (0,)))))
 
 
 def based_algebra(rng: random.Random):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import based_algebra, op_from_rows, random_algebra
+from conftest import based_algebra, op_from_rows, random_algebra, vector_space
 from ualgebra import cli, representation
 from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable, Operation, UnaryMap
 from ualgebra.gallery import build_boolean_example, build_powerset_semilattice
@@ -18,7 +18,7 @@ from ualgebra.representation import (
     BRUTE_CAP,
     Frame,
     _column_search,
-    _compile_plan,
+    _derive_plan,
     _enumerate_backtrack,
     _enumerate_brute,
     _enumerate_columns,
@@ -160,44 +160,37 @@ def _horner(values, n):
     return code
 
 
-def check_plan(alg: Algebra, rng: random.Random) -> list:
-    """Walk the compiled plan of ``alg`` and check each part of it; return the
-    rows it consumes, as (table index, args), in plan order."""
+def check_plan(alg: Algebra) -> list:
+    """Walk the derived plan of ``alg``, each table stood for by its index,
+    and check each part of it; return the rows it consumes, as (table index,
+    args), in plan order."""
     n = len(alg.carrier)
-    tables = alg.tables
-    seed, levels = _compile_plan(alg)
+    every_row = [(t, args, res) for t, table in enumerate(alg.tables)
+                 for args, res in zip(itertools.product(range(n), repeat=len(table.rank)),
+                                      table.codes)]
+    seed, levels = _derive_plan(alg, list(range(len(alg.tables))))
     assigned, seen = set(), []
 
     def walk(steps):
-        for args, res, codes, is_set in steps:
+        for t, args, res, is_set in steps:
+            # a step's result is its table's value at its arguments
+            assert alg.tables[t].codes[_horner(args, n)] == res
             assert set(args) <= assigned and is_set == (res not in assigned)
             assigned.add(res)
-            seen.append((next(t for t, table in enumerate(tables) if table.codes is codes), args))
+            seen.append((t, args))
 
     walk(seed)
-    for level in levels:
-        e = level.element
+    for e, steps in levels:
         assert e == min(set(range(n)) - assigned)
         assigned.add(e)
-        rows = [(args, tables[t].codes[_horner(args, n)], tables[t].codes)
-                for t, args in level.unit_rows]
-        # a unit row mentions e and otherwise only elements assigned before
-        assert all(e in args and res in assigned for args, res, _codes in rows)
-        # the masks allow exactly the values of h(e) that every unit row allows
-        for _ in range(20):
-            h = [rng.randrange(n) for _ in range(n)]
-            mask = level.mask
-            for others, masks in level.units:
-                mask &= masks[_horner((h[o] for o in others), n)]
-            allowed = 0
-            for v in range(n):
-                h[e] = v
-                if all(codes[_horner((h[a] for a in args), n)] == h[res]
-                       for args, res, codes in rows):
-                    allowed |= 1 << v
-            assert mask == allowed
-        seen += level.unit_rows
-        walk(level.steps)
+        # the level opens with its unit rows, as checks: the rows that mention
+        # e and otherwise only elements assigned before, result included
+        units = {(t, args, res) for t, args, res in every_row
+                 if e in args and set(args) | {res} <= assigned}
+        head = steps[:len(units)]
+        assert {(t, args, res) for t, args, res, _ in head} == units
+        assert not any(is_set for *_, is_set in head)
+        walk(steps)
     assert assigned == set(range(n))
     return seen
 
@@ -213,11 +206,11 @@ def test_plan_consumes_every_row_once(semilattice2, semilattice3, boolean, trivi
         n = len(alg.carrier)
         every_row = [(t, args) for t, table in enumerate(alg.tables)
                      for args in itertools.product(range(n), repeat=len(table.rank))]
-        assert sorted(check_plan(alg, rng)) == sorted(every_row)
+        assert sorted(check_plan(alg)) == sorted(every_row)
     # on a join semilattice, propagation derives joins of branched elements
     for alg, _frame in (semilattice2, semilattice3):
-        _seed, levels = _compile_plan(alg)
-        assert any(is_set for level in levels for *_, is_set in level.steps)
+        _seed, levels = _derive_plan(alg, alg.tables)
+        assert any(is_set for _e, steps in levels for *_, is_set in steps)
 
 
 def max_chain(rng: random.Random, n: int) -> Algebra:
@@ -253,6 +246,31 @@ def test_kernels_agree_on_based_algebras():
     for seed in range(12):
         alg, _frame = based_algebra(random.Random(seed))
         assert len(kernels_agree(alg)) == len(alg.carrier) ** len(_frame.X)
+
+
+def linear_maps(p: int, k: int) -> set[tuple]:
+    """The endomorphisms of GF(p)^k in closed form: each of the p**(k*k)
+    matrices, as the map sending every vector to its product with the matrix,
+    in the element order of ``vector_space``."""
+    vectors = list(itertools.product(range(p), repeat=k))
+    index = {v: i for i, v in enumerate(vectors)}
+    return {tuple(index[tuple(sum(row[j] * v[j] for j in range(k)) % p for row in matrix)]
+                  for v in vectors)
+            for matrix in itertools.product(vectors, repeat=k)}
+
+
+@pytest.mark.parametrize("p, k, kernel", [
+    (3, 2, _enumerate_columns),
+    (2, 3, _enumerate_columns),
+    (5, 2, _enumerate_backtrack),  # plus has 625 codes
+])
+def test_vector_space_endomorphisms_are_the_matrices(p, k, kernel):
+    alg = vector_space(p, k)
+    assert _search_kernel(alg) is kernel
+    found = {h.codes for h in enumerate_endomorphisms(alg)}
+    assert len(found) == p ** (k * k)
+    assert found == linear_maps(p, k)
+    assert found == {h.codes for h in _enumerate_backtrack(alg)}
 
 
 def projection_algebra(n: int) -> Algebra:

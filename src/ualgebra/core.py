@@ -3,10 +3,12 @@
 Operations are indexed by a rank: an ordered tuple of distinct labels.  An
 argument tuple is always ordered by the rank labels.  Every tabulated
 function, whether an operation's body, a closure member or a conjugate, is a
-``FunctionTable`` of Horner codes over carrier indices, and a ``UnaryMap``
-holds carrier indices too; element names appear only when a document is read
-or written and when a value is looked up by name.  Rule-based bodies exist
-only for the gallery's infinite carriers; they refuse exhaustive enumeration.
+``FunctionTable`` of Horner codes over carrier indices, and a unary map is the
+tuple of its images' indices; ``UnaryMap`` pairs such a tuple with its carrier
+for the enumerated endomorphisms, which report their images by name.  Element
+names appear only when a document is read or written and when a value is
+looked up by name.  Rule-based bodies exist only for the gallery's infinite
+carriers; they refuse exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -110,27 +112,6 @@ class UnaryMap:
         """The images as element names, in carrier order."""
         return tuple(map(self.carrier.elements.__getitem__, self.codes))
 
-    def __call__(self, e: str) -> str:
-        return self.carrier.elements[self.codes[self.carrier.index[e]]]
-
-    def compose(self, other: "UnaryMap") -> "UnaryMap":
-        # self after other
-        return UnaryMap(self.carrier, tuple(map(self.codes.__getitem__, other.codes)))
-
-    def is_identity(self) -> bool:
-        return self.codes == tuple(range(len(self.carrier)))
-
-    def is_constant(self) -> bool:
-        return len(set(self.codes)) == 1
-
-
-def identity_map(carrier: Carrier) -> UnaryMap:
-    return UnaryMap(carrier, tuple(range(len(carrier))))
-
-
-def constant_map(carrier: Carrier, value: str) -> UnaryMap:
-    return UnaryMap(carrier, (carrier.index[value],) * len(carrier))
-
 
 @dataclass(frozen=True)
 class FunctionTable:
@@ -187,13 +168,14 @@ class FunctionTable:
     def key(self) -> tuple:
         return (self.rank, self.codes)  # what equality and hashing compare
 
-    def equalize(self) -> UnaryMap:
-        """Feed every argument slot the same element (compose with k)."""
+    def equalize(self) -> tuple[int, ...]:
+        """Feed every argument slot the same element (compose with k): the
+        codes of the unary map that results."""
         if not self.rank:
             raise AlgebraError("cannot equalize a nullary table")
         n = len(self.carrier)
         step = sum(n**i for i in range(len(self.rank)))  # the code of (1, ..., 1)
-        return UnaryMap(self.carrier, tuple(self.codes[a * step] for a in range(n)))
+        return tuple(self.codes[a * step] for a in range(n))
 
 
 def tabulate(carrier: Carrier, rank: Rank, fn) -> FunctionTable:

@@ -4,8 +4,9 @@ A dilatation is an endomorphism that is also a rank-less elementary
 function.  An element d indicates the dilatation obtained by equalizing the
 arguments of its conjugate function; when every element is an indicator the
 carrier is full and the dilatation generator transports the parent
-operations onto the dilatation set.  Elements are carrier indices throughout;
-the indicator names appear only in the reports built from an analysis.
+operations onto the dilatation set.  Elements are carrier indices and unary
+maps the tuples of their images' indices throughout; names appear only in
+the reports and records built from an analysis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .commutativity import is_commutative
-from .core import Algebra, AlgebraError, UnaryMap, identity_map
+from .core import Algebra, AlgebraError, Carrier
 from .elementary import DEFAULT_GUARD, rankless
 from .representation import Frame, Representation, build_representation
 
@@ -22,11 +23,9 @@ from .representation import Frame, Representation, build_representation
 @dataclass(frozen=True)
 class DilatationAnalysis:
     rep: Representation = field(compare=False)
-    delta: frozenset[UnaryMap]
-    # delta member -> the carrier indices of the elements indicating it
-    indicators: dict[UnaryMap, frozenset[int]] = field(compare=False)
+    delta: frozenset[tuple[int, ...]]
     # carrier index of an indicator d -> the dilatation it indicates
-    gamma: dict[int, UnaryMap] = field(compare=False)
+    gamma: dict[int, tuple[int, ...]] = field(compare=False)
     full: bool = False
     routes_agree: bool = True
 
@@ -42,41 +41,35 @@ def analyze_dilatations(rep: Representation, guard: int = DEFAULT_GUARD) -> Dila
     if not rep.bijective:
         raise AlgebraError("dilatation analysis needs a bijective sampling")
     alg = rep.algebra
-    carrier = alg.carrier
-    delta = frozenset(rankless(alg, guard=guard) & rep.endos)
+    n = len(alg.carrier)
+    endos = {h.codes for h in rep.endos}
+    delta = frozenset(rankless(alg, guard=guard) & endos)
 
-    gamma: dict[int, UnaryMap] = {}
+    gamma: dict[int, tuple[int, ...]] = {}
     for d, chi_d in enumerate(rep.conjugates):
         # a nullary conjugate (the empty frame) equalizes to its constant value
-        candidate = (chi_d.equalize() if chi_d.rank
-                     else UnaryMap(carrier, chi_d.codes * len(carrier)))
-        if candidate in rep.endos:
+        candidate = chi_d.equalize() if chi_d.rank else chi_d.codes * n
+        if candidate in endos:
             gamma[d] = candidate
 
     routes_agree = set(gamma.values()) <= delta
-    indicators = {
-        delta_member: frozenset(d for d, g in gamma.items() if g == delta_member)
-        for delta_member in delta
-    }
-    full = len(gamma) == len(carrier)
-    return DilatationAnalysis(rep, delta, indicators, gamma, full, routes_agree)
+    full = len(gamma) == n
+    return DilatationAnalysis(rep, delta, gamma, full, routes_agree)
 
 
 @dataclass(frozen=True)
 class EndowedMonoid:
     """The dilatation composition monoid enriched with the image operations.
 
-    Members are indexed canonically (sorted by their codes); tables are over
-    member indices.
+    Members are the dilatations' codes, indexed canonically (sorted); tables
+    are over member indices.
     """
 
-    members: tuple[UnaryMap, ...]
+    carrier: Carrier = field(compare=False)
+    members: tuple[tuple[int, ...], ...]
     unit: int
     product: tuple[tuple[int, ...], ...]
     image_ops: tuple[tuple[str, tuple, dict], ...]  # (symbol, rank, args-idx -> idx)
-
-    def index(self, delta: UnaryMap) -> int:
-        return self.members.index(delta)
 
 
 def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | None, dict]:
@@ -91,7 +84,7 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
     alg = rep.algebra
     carrier = alg.carrier
     n = len(carrier)
-    members = tuple(sorted(analysis.delta, key=lambda d: d.codes))
+    members = tuple(sorted(analysis.delta))
     pos = {d: i for i, d in enumerate(members)}
 
     info: dict = {"delta_size": len(members)}
@@ -102,8 +95,7 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
         table = {}
         closed = True
         for combo in itertools.product(members, repeat=len(f.rank)):
-            value = UnaryMap(carrier, tuple(f.table.at([d.codes[a] for d in combo])
-                                            for a in range(n)))
+            value = tuple(f.table.at([d[a] for d in combo]) for a in range(n))
             if value not in pos:
                 closed = False
                 break
@@ -118,10 +110,9 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
                                   if d not in analysis.gamma]
         return None, info
 
-    unit = pos[identity_map(carrier)]
-    product = tuple(
-        tuple(pos[a.compose(b)] for b in members) for a in members
-    )
+    unit = pos[tuple(range(n))]
+    # a after b
+    product = tuple(tuple(pos[tuple(map(a.__getitem__, b))] for b in members) for a in members)
     for f in alg.ops:
         if not inherited[f.symbol]:
             # a full carrier guarantees closure, so this indicates a real bug
@@ -137,7 +128,7 @@ def build_endowed_monoid(analysis: DilatationAnalysis) -> tuple[EndowedMonoid | 
                 at = tuple(carrier.elements[a] for a in args)
                 raise AlgebraError(f"dilatation generator is not a homomorphism at {at}")
 
-    return EndowedMonoid(members, unit, product, tuple(image_ops)), info
+    return EndowedMonoid(carrier, members, unit, product, tuple(image_ops)), info
 
 
 def check_distributivities(monoid: EndowedMonoid, analysis: DilatationAnalysis) -> dict:
@@ -158,9 +149,10 @@ def check_distributivities(monoid: EndowedMonoid, analysis: DilatationAnalysis) 
     for f in analysis.rep.algebra.ops:
         for d in members:
             for code, args in enumerate(itertools.product(range(n), repeat=len(f.rank))):
-                if d.codes[f.table.codes[code]] != f.table.at([d.codes[a] for a in args]):
+                if d[f.table.codes[code]] != f.table.at([d[a] for a in args]):
                     at = tuple(carrier.elements[a] for a in args)
-                    failures.append(("heterogeneous", f.symbol, d.values, at))
+                    failures.append(("heterogeneous", f.symbol,
+                                     tuple(carrier.elements[v] for v in d), at))
     return {"status": "pass" if not failures else "fail", "failures": failures}
 
 
@@ -202,7 +194,7 @@ def check_fullness_pipeline(alg: Algebra, frame: Frame, rep: Representation | No
 
 def monoid_to_dict(monoid: EndowedMonoid) -> dict:
     return {
-        "delta": [list(d.values) for d in monoid.members],
+        "delta": [[monoid.carrier.elements[v] for v in d] for d in monoid.members],
         "unit": monoid.unit,
         "product": [list(row) for row in monoid.product],
         "image_ops": [

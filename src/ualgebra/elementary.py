@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .combinator import projection, set_ary_compose
-from .core import Algebra, AlgebraError, FunctionTable, Rank, UnaryMap
+from .core import Algebra, AlgebraError, FunctionTable, Rank
 
 DEFAULT_GUARD = 10_000
 
@@ -234,16 +234,18 @@ def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> Clo
 RANKLESS_ARITY: Rank = ("*",)
 
 
-def rankless(alg: Algebra, guard: int = DEFAULT_GUARD) -> set[UnaryMap]:
-    """All unary maps obtained by equalizing the arguments of elementary functions.
+def rankless(alg: Algebra, guard: int = DEFAULT_GUARD) -> set[tuple[int, ...]]:
+    """All unary maps (as codes) obtained by equalizing the arguments of
+    elementary functions.
 
-    Setting the arity to a single slot already yields every such map, so this
-    is the image of the one-slot closure under argument equalization.
+    Setting the arity to a single slot already yields every such map, and
+    equalizing a one-slot table leaves it as it is, so these are the codes
+    of the one-slot closure.
     """
     closure = elementary_closure(alg, RANKLESS_ARITY, guard)
     if not closure.complete:
         raise AlgebraError("closure guard exceeded while computing rank-less functions")
-    return {ef.table.equalize() for ef in closure.functions}
+    return {ef.table.codes for ef in closure.functions}
 
 
 def generated_subuniverse(alg: Algebra, frame) -> frozenset[int]:

@@ -1,9 +1,10 @@
 """Endomorphism enumeration and analytic representations over a frame.
 
 A frame U: X -> A samples every endomorphism h to the matrix h . U in A^X.
-When the sampling is a bijection both ways we invert it into the extension
-and tabulate the conjugate function of every element.  Frames (``Frame.codes``),
-matrices and conjugates are in carrier indices; names return in report fields.
+When the sampling is a bijection, the endomorphisms sorted by their matrices
+are the extension, and their columns are the conjugate functions.  Frames
+(``Frame.codes``), matrices and conjugates are in carrier indices; names
+return in report fields.
 """
 
 from __future__ import annotations
@@ -273,57 +274,59 @@ class Representation:
     algebra: Algebra
     frame: Frame
     endos: frozenset[UnaryMap]
-    sampling: dict[UnaryMap, Matrix] = field(compare=False)
     bijective: bool = False
     failure: dict | None = field(default=None, compare=False)
-    # the sampling's inverse; only tests read it, as oracle vocabulary
-    extension: dict[Matrix, UnaryMap] | None = field(default=None, compare=False)
     # conjugates[a] is chi_a, the conjugate function of the element of index a
     conjugates: tuple[FunctionTable, ...] | None = field(default=None, compare=False)
-
-    def matrices(self):
-        """Every matrix, in canonical (Horner) order."""
-        return itertools.product(range(len(self.algebra.carrier)), repeat=len(self.frame.X))
 
 
 def build_representation(alg: Algebra, frame: Frame, endos=None,
                          method: str = "backtrack") -> Representation:
+    """Sample every endomorphism h at U, h . U, and invert the sampling when
+    it is a bijection End(A) -> A^X.
+
+    One sort by (h . U, h's codes) decides it all: the sampling is injective
+    when no two neighbours share a sample, and then surjective when there
+    are n^k of them.  The sorted samples are then the matrices in canonical
+    (Horner) order, so the conjugates chi_a(M) = h_M(a) are the columns of
+    the sorted maps.
+    """
     carrier = alg.carrier
+    n, k = len(carrier), len(frame.X)
     U = frame.codes(carrier)
     if endos is None:
         endos = enumerate_endomorphisms(alg, method=method)
-    sampling = {h: tuple(map(h.codes.__getitem__, U)) for h in endos}
-
-    if not frame.X and len(carrier) > 1:
+    endos = frozenset(endos)
+    if not k and n > 1:
         # every endomorphism samples to the empty matrix, so only a one-point
         # algebra (where the identity is the sole endomorphism) can work
-        return Representation(alg, frame, frozenset(endos), sampling,
+        return Representation(alg, frame, endos,
                               failure={"reason": "empty frame on a non-trivial "
                                                  "algebra: only the identity "
                                                  "can be recovered",
                                        "matrix": ()})
 
-    by_matrix: dict[Matrix, UnaryMap] = {}
-    # in code order, which decides the collision that a failure reports
-    for h in sorted(endos, key=lambda h: h.codes):
-        m = sampling[h]
-        if m in by_matrix:
-            return Representation(alg, frame, frozenset(endos), sampling,
-                                  failure={"reason": "not-injective",
-                                           "matrix": m,
-                                           "endos": (by_matrix[m], h)})
-        by_matrix[m] = h
-    matrices = list(itertools.product(range(len(carrier)), repeat=len(frame.X)))
-    unhit = [m for m in matrices if m not in by_matrix]
-    if unhit:
-        return Representation(alg, frame, frozenset(endos), sampling,
-                              failure={"reason": "not-surjective", "matrix": unhit[0]})
+    rows = sorted((tuple(map(h.codes.__getitem__, U)), h.codes) for h in endos)
+    # the least second map of two neighbours that share a sample is the
+    # collision that a scan in code order meets first
+    collisions = [(second, (m, first))
+                  for (m, first), (sample, second) in zip(rows, rows[1:]) if m == sample]
+    if collisions:
+        second, (m, first) = min(collisions)
+        return Representation(alg, frame, endos, failure={"reason": "not-injective",
+                                                          "matrix": m,
+                                                          "endos": (first, second)})
+    if len(rows) != n**k:
+        # the first matrix in canonical order that no sample equals
+        missing = next(m for m, (sample, _h) in itertools.zip_longest(
+            itertools.product(range(n), repeat=k), rows, fillvalue=(None, None)) if m != sample)
+        return Representation(alg, frame, endos,
+                              failure={"reason": "not-surjective", "matrix": missing})
 
-    # chi_a(M) = h_M(a): column a of the extension's maps in canonical order of M
-    images = [by_matrix[m].codes for m in matrices]
-    conjugates = tuple(FunctionTable(carrier, frame.X, codes) for codes in zip(*images))
-    return Representation(alg, frame, frozenset(endos), sampling, bijective=True,
-                          extension=by_matrix, conjugates=conjugates)
+    # chi_a(M) = h_M(a): column a of the maps in canonical order of M
+    conjugates = tuple(FunctionTable(carrier, frame.X, codes)
+                       for codes in zip(*(h for _m, h in rows)))
+    return Representation(alg, frame, endos, bijective=True, conjugates=conjugates)
 
 
 def endomorphism_generators(members: set[tuple[int, ...]], carrier: Carrier) -> list[tuple]:
@@ -369,7 +372,6 @@ def commutation_checker(rep: Representation):
     """
     n = len(rep.algebra.carrier)
     k = len(rep.frame.X)
-    matrices = list(rep.matrices())
     # chi_.(M) for every M in canonical order, which is Horner-code order.
     # Each vector is a string of code points, so that str.translate applies h
     # and str.join gathers vectors element by element in C.
@@ -393,7 +395,7 @@ def commutation_checker(rep: Representation):
         if after == before:
             return None
         i = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
-        return matrices[i // n]
+        return next(itertools.islice(itertools.product(range(n), repeat=k), i // n, None))
 
     return defect
 

@@ -68,16 +68,40 @@ def vector_space(p: int, k: int) -> Algebra:
                     Operation("zero", (), table=FunctionTable(carrier, (), (0,)))))
 
 
-def based_algebra(rng: random.Random):
-    """A based algebra with its frame: a semilattice on 1 to 3 ground points
-    or ``boolean``, its carrier listed in a random order.  The order changes
+def relabeled(alg: Algebra, rng: random.Random) -> Algebra:
+    """``alg`` with its carrier listed in a random order.  The order changes
     every Horner code and the search's branching, but not the mathematics."""
-    size = rng.randint(0, 3)
-    alg, frame = build_powerset_semilattice("xyz"[:size]) if size else build_boolean_example()
     names = alg.carrier.elements
     carrier = Carrier(tuple(rng.sample(names, len(names))))
     ops = tuple(op_from_rows(carrier, f.symbol, f.rank,
                              dict(zip(alg.carrier.assignments(f.rank),
                                       map(names.__getitem__, f.table.codes))))
                 for f in alg.ops)
-    return Algebra(alg.name, carrier, ops), frame
+    return Algebra(alg.name, carrier, ops)
+
+
+def based_algebra(rng: random.Random):
+    """A based algebra with its frame: a semilattice on 1 to 3 ground points
+    or ``boolean``, its carrier ``relabeled``."""
+    size = rng.randint(0, 3)
+    alg, frame = build_powerset_semilattice("xyz"[:size]) if size else build_boolean_example()
+    return relabeled(alg, rng), frame
+
+
+# The sampling and the extension, rebuilt from a representation as the tests'
+# own vocabulary: maps and matrices as carrier indices.
+
+def matrices(rep):
+    """Every matrix A^X of ``rep``'s frame, in canonical (Horner) order."""
+    return itertools.product(range(len(rep.algebra.carrier)), repeat=len(rep.frame.X))
+
+
+def sampling(rep) -> dict:
+    """h -> h . U for every endomorphism h of ``rep``."""
+    U = rep.frame.codes(rep.algebra.carrier)
+    return {h.codes: tuple(h.codes[u] for u in U) for h in rep.endos}
+
+
+def extension(rep) -> dict:
+    """M -> h_M, read off the conjugates: h_M(a) = chi_a(M)."""
+    return {M: tuple(chi.at(M) for chi in rep.conjugates) for M in matrices(rep)}

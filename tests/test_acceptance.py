@@ -50,7 +50,7 @@ from ualgebra.representation import (
     verify_basis_equivalence,
 )
 
-from conftest import random_algebra
+from conftest import extension, matrices, random_algebra, sampling
 
 
 def report(number: int, ok: bool, detail: str = ""):
@@ -65,8 +65,10 @@ def test_criterion_01_small_semilattice(semilattice2):
     endos = enumerate_endomorphisms(alg, "brute")
     rep = build_representation(alg, frame, endos=endos)
     ok = len(endos) == 16 == len(alg.carrier) ** len(frame.X) and rep.bijective
-    ok = ok and all(rep.extension[rep.sampling[h]] == h for h in endos)
-    ok = ok and all(rep.sampling[rep.extension[M]] == M for M in rep.matrices())
+    # both inverse identities, with the extension read off the conjugates
+    sample, extend = sampling(rep), extension(rep)
+    ok = ok and all(extend[sample[h.codes]] == h.codes for h in endos)
+    ok = ok and all(sample[extend[M]] == M for M in matrices(rep))
     elapsed = time.perf_counter() - started
     report(1, ok and elapsed < 1.0, f"16 endos, bijective, {elapsed:.3f}s")
 

@@ -53,6 +53,23 @@ def test_basis_failure_is_reported():
     assert body["basis_equivalence"]["biconditional_ok"]
 
 
+def test_basis_on_a_point_with_the_empty_frame(tmp_path):
+    """One element, no nullary operation, the empty frame: the sampling is
+    bijective (one endomorphism, one empty matrix), but the empty set
+    generates nothing, so the biconditional fails and the run exits 1.
+    Whether the paper's hypotheses exclude this case is open; this pins the
+    report, so that a change to it is made on purpose."""
+    frame = tmp_path / "empty_frame.json"
+    frame.write_text('{"X": [], "U": []}')
+    out, code = run(["basis", str(FIXTURES / "trivial.json"), str(frame)])
+    body = out["report"]
+    assert code == 1 and body["status"] == "fail"
+    assert body["basis"] and body["endo_count"] == 1
+    assert body["basis_equivalence"] == {"bijective": True, "generator": False,
+                                         "chi_exists": False, "biconditional_ok": False,
+                                         "missing_elements": ["e"]}
+
+
 def test_dilatations_with_monoid(tmp_path):
     emitted = tmp_path / "monoid.json"
     out, code = run(["dilatations", str(FIXTURES / "semilattice2.json"),

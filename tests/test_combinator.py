@@ -125,7 +125,6 @@ def test_compose_arity_mismatch(semilattice2):
 
 def test_equalize():
     t = tabulate(CARRIER, ("p", "q"), lambda args: max(args))
-    u = t.equalize()
-    assert u.values == CARRIER.elements
+    assert t.equalize() == tuple(range(len(CARRIER)))  # max(a, a) = a
     with pytest.raises(AlgebraError):
         constant_fn(CARRIER, "a", ()).equalize()

@@ -444,7 +444,7 @@ def test_guard_stops_inside_the_round():
 def test_rankless_semilattice(semilattice2):
     alg, _frame = semilattice2
     maps = rankless(alg)
-    assert {m.values for m in maps} == {
+    assert {tuple(alg.carrier.elements[v] for v in m) for m in maps} == {
         alg.carrier.elements,                       # identity
         ("{}",) * 4,                                # constant empty
     }
@@ -458,8 +458,7 @@ def test_rankless_boolean(boolean):
 def test_rankless_only_nullary():
     carrier = Carrier(("a", "b"))
     alg = Algebra("consts", carrier, (op_from_rows(carrier, "c", (), {(): "b"}),))
-    maps = rankless(alg)
-    assert {m.values for m in maps} == {("a", "b"), ("b", "b")}
+    assert rankless(alg) == {(0, 1), (1, 1)}  # the identity, and the constant b
 
 
 def names_of(alg, indices) -> set[str]:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import extension
 from ualgebra.core import AlgebraError
 from ualgebra.gallery.gaussian import (
     apply_endo,
@@ -62,11 +63,11 @@ def test_eta_formula_matches_generic_extension(semilattice2, semilattice3):
         ground = frame.X
         rep = build_representation(alg, frame)
         assert rep.bijective
-        for M in rep.matrices():
-            as_dict = dict(zip(ground, (alg.carrier.elements[v] for v in M)))
-            h = rep.extension[M]
-            for a in alg.carrier.elements:
-                assert h(a) == semilattice_eta(as_dict, ground, a)
+        names = alg.carrier.elements
+        for M, h in extension(rep).items():
+            as_dict = dict(zip(ground, (names[v] for v in M)))
+            for a, value in zip(names, h):
+                assert names[value] == semilattice_eta(as_dict, ground, a)
 
 
 def test_graph_extension_values():

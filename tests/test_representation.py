@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import based_algebra, op_from_rows, random_algebra, vector_space
+from conftest import (based_algebra, extension, matrices, op_from_rows, random_algebra,
+                      relabeled, sampling, vector_space)
 from ualgebra import cli, representation
 from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable, Operation, UnaryMap
 from ualgebra.gallery import build_boolean_example, build_powerset_semilattice
@@ -37,8 +38,8 @@ def named_conjugates(rep) -> list[dict]:
     """Each chi_a as a dict from matrices to values, on element names, with
     the matrices in canonical order."""
     names = rep.algebra.carrier.elements
-    matrices = [tuple(names[v] for v in m) for m in rep.matrices()]
-    return [{m: chi(m) for m in matrices} for chi in rep.conjugates]
+    named = [tuple(names[v] for v in m) for m in matrices(rep)]
+    return [{m: chi(m) for m in named} for chi in rep.conjugates]
 
 
 def conjugate_commutation_defect(conjugates: list[dict], h: UnaryMap):
@@ -395,23 +396,28 @@ def test_semilattice_representation_bijective(semilattice2):
     rep = build_representation(alg, frame)
     assert rep.bijective
     assert len(rep.endos) == 16 == len(alg.carrier) ** len(frame.X)
-    # both inverse identities, exhaustively
-    for h in rep.endos:
-        assert rep.extension[rep.sampling[h]] == h
-    for M in rep.matrices():
-        assert rep.sampling[rep.extension[M]] == M
-    # sampling really samples at the frame
+    # both inverse identities, exhaustively, with the extension read off the conjugates
+    sample, extend = sampling(rep), extension(rep)
+    for h in sample:
+        assert extend[sample[h]] == h
+    for M in matrices(rep):
+        assert sample[extend[M]] == M
+    # sampling really samples at the frame, on element names
     names = alg.carrier.elements
     for h in rep.endos:
-        assert tuple(names[v] for v in rep.sampling[h]) == tuple(h(frame.U[x]) for x in frame.X)
+        image = dict(zip(names, h.values))
+        assert tuple(names[v] for v in sample[h.codes]) == tuple(image[frame.U[x]]
+                                                                 for x in frame.X)
 
 
 def test_chi_satisfies_extension_identity(semilattice2):
     alg, frame = semilattice2
     rep = build_representation(alg, frame)
+    # h_M(a) = chi_a(M), where h_M is the endomorphism that samples to M
+    by_matrix = {M: h for h, M in sampling(rep).items()}
     for a in range(len(alg.carrier)):
-        for M in rep.matrices():
-            assert rep.conjugates[a].at(M) == rep.extension[M].codes[a]
+        for M in matrices(rep):
+            assert rep.conjugates[a].at(M) == by_matrix[M][a]
 
 
 def test_constant_frame_not_bijective(semilattice2):
@@ -419,11 +425,12 @@ def test_constant_frame_not_bijective(semilattice2):
     rep = build_representation(alg, Frame(("p", "q"), {"p": "{x}", "q": "{x}"}))
     assert not rep.bijective
     assert rep.failure["reason"] in ("not-injective", "not-surjective")
+    sample = sampling(rep)
     if rep.failure["reason"] == "not-injective":
         h1, h2 = rep.failure["endos"]
-        assert h1 != h2 and rep.sampling[h1] == rep.sampling[h2]
+        assert h1 != h2 and sample[h1] == sample[h2] == rep.failure["matrix"]
     else:
-        assert rep.failure["matrix"] not in rep.sampling.values()
+        assert rep.failure["matrix"] not in sample.values()
 
 
 def test_injectivity_of_basis_frames():
@@ -451,7 +458,7 @@ def test_commutation_checker_on_the_empty_frame(trivial):
     """k = 0 on one element: one matrix, the empty one, and the identity
     commutes with its one conjugate."""
     rep = build_representation(*trivial)
-    assert list(rep.matrices()) == [()]
+    assert list(matrices(rep)) == [()]
     assert commutation_checker(rep)((0,)) is None
 
 
@@ -460,6 +467,63 @@ def test_empty_frame_on_nontrivial(semilattice2):
     rep = build_representation(alg, Frame((), {}))
     assert not rep.bijective
     assert "identity" in rep.failure["reason"]
+
+
+def dict_representation(rep) -> tuple:
+    """``rep`` rebuilt by the dict-based construction from its endomorphisms
+    and a non-empty frame: sample every map, scan the maps in code order into
+    a dict from matrices to maps (the first repeated matrix is the collision),
+    then look every matrix up in canonical order.  Returns (bijective,
+    failure, the conjugates' codes), the oracle for the sorted build."""
+    assert rep.frame.X
+    sample = sampling(rep)
+    by_matrix: dict = {}
+    for h in sorted(sample):
+        m = sample[h]
+        if m in by_matrix:
+            return False, {"reason": "not-injective", "matrix": m, "endos": (by_matrix[m], h)}, None
+        by_matrix[m] = h
+    every = list(matrices(rep))
+    unhit = [m for m in every if m not in by_matrix]
+    if unhit:
+        return False, {"reason": "not-surjective", "matrix": unhit[0]}, None
+    return True, None, tuple(zip(*(by_matrix[m] for m in every)))
+
+
+def unit_vector_frame(p: int, k: int) -> Frame:
+    """The unit vectors of ``vector_space(p, k)`` as a frame."""
+    labels = tuple(f"x{i}" for i in range(k))
+    return Frame(labels, {x: "".join("1" if j == i else "0" for j in range(k))
+                          for i, x in enumerate(labels)})
+
+
+def random_frame(alg, rng: random.Random) -> Frame:
+    labels = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+    return Frame(labels, {x: rng.choice(alg.carrier.elements) for x in labels})
+
+
+def test_sorted_build_matches_the_dict_construction():
+    rng = random.Random(16)
+    cases = [random_algebra(rng) for _ in range(300)]
+    for _ in range(12):
+        alg, frame = based_algebra(rng)
+        cases += [(alg, frame), (alg, random_frame(alg, rng))]
+    for p, k in ((2, 2), (3, 2), (2, 3)):
+        alg = relabeled(vector_space(p, k), rng)
+        cases += [(alg, unit_vector_frame(p, k)), (alg, random_frame(alg, rng))]
+    outcomes = []
+    for alg, frame in cases:
+        rep = build_representation(alg, frame)
+        bijective, failure, conjugates = dict_representation(rep)
+        assert rep.bijective == bijective
+        assert rep.failure == failure
+        assert (rep.conjugates and tuple(chi.codes for chi in rep.conjugates)) == conjugates
+        outcomes.append((len(alg.carrier), failure["reason"] if failure else "bijective"))
+    reasons = [reason for _n, reason in outcomes]
+    assert {"bijective", "not-injective", "not-surjective"} <= set(reasons[:300])
+    # bijective past two elements: the based draws and the three vector spaces
+    assert {n for n, reason in outcomes if reason == "bijective"} >= {4, 8, 9}
+    assert all(reason == "bijective" for reason in reasons[-6::2])
 
 
 def test_basis_equivalence_semilattice(semilattice2):
@@ -500,7 +564,7 @@ def test_conjugates_are_elementary(semilattice2, boolean):
 
 def _first_defect(rep, h: UnaryMap):
     """First M in canonical order with h(chi_a(M)) != chi_a(h . M) for some a."""
-    for m in rep.matrices():
+    for m in matrices(rep):
         hm = tuple(h.codes[v] for v in m)
         if any(h.codes[chi_a.at(m)] != chi_a.at(hm) for chi_a in rep.conjugates):
             return m
@@ -656,7 +720,7 @@ def test_generators_leaving_the_endomorphisms_fail(semilattice3, monkeypatch):
     rep = build_representation(*semilattice3)
     generators = endomorphism_generators({h.codes for h in rep.endos}, rep.algebra.carrier)
     dropped = next(h for h in sorted(rep.endos, key=lambda h: h.codes)
-                   if h.codes not in generators and not h.is_identity())
+                   if h.codes not in generators and h.codes != tuple(range(len(h.codes))))
     rep = dataclasses.replace(rep, endos=rep.endos - {dropped})
     with pytest.raises(AlgebraError, match="not closed under composition"):
         verify_basis_equivalence(rep.algebra, rep.frame, rep=rep)
@@ -703,7 +767,7 @@ def test_exact_nonmember_check_matches_sweep(semilattice2, semilattice3, boolean
 
 def code_of_U(rep) -> int:
     """The Horner code of the frame's own matrix U."""
-    return list(rep.matrices()).index(rep.frame.codes(rep.algebra.carrier))
+    return list(matrices(rep)).index(rep.frame.codes(rep.algebra.carrier))
 
 
 def with_columns_swapped(rep, i: int, j: int):

@@ -56,7 +56,8 @@ def cmd_endos(args) -> dict:
     endos = enumerate_endomorphisms(alg, method=args.method)
     report = {"status": "pass", "count": len(endos), "method": args.method}
     if args.list:
-        report["endos"] = sorted(list(h.values) for h in endos)
+        names = alg.carrier.elements
+        report["endos"] = sorted([names[v] for v in h] for h in endos.codes)
     return report
 
 

@@ -4,8 +4,9 @@ Operations are indexed by a rank: an ordered tuple of distinct labels.  An
 argument tuple is always ordered by the rank labels.  Every tabulated
 function, whether an operation's body, a closure member or a conjugate, is a
 ``FunctionTable`` of Horner codes over carrier indices, and a unary map is the
-tuple of its images' indices; ``UnaryMap`` pairs such a tuple with its carrier
-for the enumerated endomorphisms, which report their images by name.  Element
+tuple of its images' indices.  End(A) is a set of such tuples, seen from
+outside as a set of ``UnaryMap``, which pairs a tuple with its carrier and
+reports its images by name; one is made only when a reader iterates.  Element
 names appear only when a document is read or written and when a value is
 looked up by name.  Rule-based bodies exist only for the gallery's infinite
 carriers; they refuse exhaustive enumeration.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -111,6 +113,30 @@ class UnaryMap:
     def values(self) -> tuple[str, ...]:
         """The images as element names, in carrier order."""
         return tuple(map(self.carrier.elements.__getitem__, self.codes))
+
+
+class Endomorphisms(Set):
+    """End(A): ``codes`` is a frozenset of maps as carrier-index tuples.  Seen
+    from outside it is a set of ``UnaryMap``, equal to a set or frozenset of
+    the same maps; a map is made only when a reader iterates."""
+
+    __slots__ = ("carrier", "codes")
+    __hash__ = Set._hash
+
+    def __init__(self, carrier: Carrier, codes: frozenset):
+        self.carrier, self.codes = carrier, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __contains__(self, h) -> bool:
+        return isinstance(h, UnaryMap) and h.codes in self.codes
+
+    def __iter__(self) -> Iterator[UnaryMap]:
+        return (UnaryMap(self.carrier, codes) for codes in self.codes)
+
+    def _from_iterable(self, maps) -> "Endomorphisms":
+        return Endomorphisms(self.carrier, frozenset(h.codes for h in maps))
 
 
 @dataclass(frozen=True)

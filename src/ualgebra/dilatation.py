@@ -42,7 +42,7 @@ def analyze_dilatations(rep: Representation, guard: int = DEFAULT_GUARD) -> Dila
         raise AlgebraError("dilatation analysis needs a bijective sampling")
     alg = rep.algebra
     n = len(alg.carrier)
-    endos = {h.codes for h in rep.endos}
+    endos = rep.endos.codes
     delta = frozenset(rankless(alg, guard=guard) & endos)
 
     gamma: dict[int, tuple[int, ...]] = {}

@@ -13,8 +13,8 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import (Algebra, AlgebraError, Carrier, FunctionTable, GuardExceeded, Rank,
-                   UnaryMap, expect_json, expect_strings, make_rank, read_json)
+from .core import (Algebra, AlgebraError, Carrier, Endomorphisms, FunctionTable, GuardExceeded,
+                   Rank, expect_json, expect_strings, make_rank, read_json)
 from .elementary import CODE_POINTS, elementary_generator
 
 BRUTE_CAP = 100_000
@@ -74,16 +74,15 @@ def _is_endo(values: tuple[int, ...], tables) -> bool:
     return True
 
 
-def _enumerate_brute(alg: Algebra, cap: int) -> set[UnaryMap]:
-    carrier = alg.carrier
-    n = len(carrier)
+def _enumerate_brute(alg: Algebra, cap: int) -> set[tuple[int, ...]]:
+    n = len(alg.carrier)
     if n**n > cap:
         raise GuardExceeded(f"brute-force space {n}^{n} exceeds cap {cap}")
     tables = _indexed_rows(alg)
     out = set()
     for values in itertools.product(range(n), repeat=n):
         if _is_endo(values, tables):
-            out.add(UnaryMap(carrier, values))
+            out.add(values)
     return out
 
 
@@ -133,13 +132,12 @@ def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
     return seed, levels
 
 
-def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
+def _enumerate_backtrack(alg: Algebra) -> set[tuple[int, ...]]:
     """Depth-first search over the derived plan: at each depth, try every value
     of h(element) and run the level's steps, its unit-row checks first."""
-    carrier = alg.carrier
-    n = len(carrier)
+    n = len(alg.carrier)
     seed, levels = _derive_plan(alg, [t.codes for t in alg.tables])
-    out: set[UnaryMap] = set()
+    out: set[tuple[int, ...]] = set()
     # the positions written at a depth are the same on every branch, so one
     # list serves the whole search: nothing is copied or undone
     h = [0] * n
@@ -159,7 +157,7 @@ def _enumerate_backtrack(alg: Algebra) -> set[UnaryMap]:
 
     def search(depth: int):
         if depth == len(levels):
-            out.add(UnaryMap(carrier, tuple(h)))
+            out.add(tuple(h))
             return
         e, steps = levels[depth]
         for v in range(n):
@@ -239,9 +237,8 @@ def _column_search(alg: Algebra) -> list[bytes]:
     return columns
 
 
-def _enumerate_columns(alg: Algebra) -> set[UnaryMap]:
-    carrier = alg.carrier
-    return {UnaryMap(carrier, codes) for codes in zip(*_column_search(alg))}
+def _enumerate_columns(alg: Algebra) -> frozenset[tuple[int, ...]]:
+    return frozenset(zip(*_column_search(alg)))
 
 
 def _search_kernel(alg: Algebra):
@@ -256,31 +253,33 @@ def _search_kernel(alg: Algebra):
 
 
 def enumerate_endomorphisms(alg: Algebra, method: str = "backtrack",
-                            cap: int = BRUTE_CAP) -> set[UnaryMap]:
-    """End(A) as unary maps: "brute" tries every map A -> A (at most ``cap``),
-    "backtrack" runs the derived plan in the kernel that the shape picks."""
+                            cap: int = BRUTE_CAP) -> Endomorphisms:
+    """End(A): "brute" tries every map A -> A (at most ``cap``), "backtrack"
+    runs the derived plan in the kernel that the shape picks."""
     if not alg.is_tabulated:
         raise AlgebraError("endomorphism enumeration needs a tabulated algebra; "
                            "gallery algebras supply symbolic families instead")
     if method == "brute":
-        return _enumerate_brute(alg, cap)
-    if method == "backtrack":
-        return _search_kernel(alg)(alg)
-    raise AlgebraError(f"unknown method {method!r}")
+        codes = _enumerate_brute(alg, cap)
+    elif method == "backtrack":
+        codes = _search_kernel(alg)(alg)
+    else:
+        raise AlgebraError(f"unknown method {method!r}")
+    return Endomorphisms(alg.carrier, frozenset(codes))
 
 
 @dataclass(frozen=True)
 class Representation:
     algebra: Algebra
     frame: Frame
-    endos: frozenset[UnaryMap]
+    endos: Endomorphisms
     bijective: bool = False
     failure: dict | None = field(default=None, compare=False)
     # conjugates[a] is chi_a, the conjugate function of the element of index a
     conjugates: tuple[FunctionTable, ...] | None = field(default=None, compare=False)
 
 
-def build_representation(alg: Algebra, frame: Frame, endos=None,
+def build_representation(alg: Algebra, frame: Frame, endos: Endomorphisms | None = None,
                          method: str = "backtrack") -> Representation:
     """Sample every endomorphism h at U, h . U, and invert the sampling when
     it is a bijection End(A) -> A^X.
@@ -296,7 +295,6 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
     U = frame.codes(carrier)
     if endos is None:
         endos = enumerate_endomorphisms(alg, method=method)
-    endos = frozenset(endos)
     if not k and n > 1:
         # every endomorphism samples to the empty matrix, so only a one-point
         # algebra (where the identity is the sole endomorphism) can work
@@ -306,7 +304,7 @@ def build_representation(alg: Algebra, frame: Frame, endos=None,
                                                  "can be recovered",
                                        "matrix": ()})
 
-    rows = sorted((tuple(map(h.codes.__getitem__, U)), h.codes) for h in endos)
+    rows = sorted((tuple(map(h.__getitem__, U)), h) for h in endos.codes)
     # the least second map of two neighbours that share a sample is the
     # collision that a scan in code order meets first
     collisions = [(second, (m, first))
@@ -334,31 +332,37 @@ def endomorphism_generators(members: set[tuple[int, ...]], carrier: Carrier) -> 
     chosen greedily: in order of falling image size, then by codes, a member
     joins G when the monoid that G generates so far does not hold it.
 
-    That monoid grows semi-naively from the identity: the maps reached
-    before meet a new generator, and each newly reached map meets every
-    generator.  Each reached map must be a member, and each member is reached
-    (it is a generator if nothing reached it first), so the monoid ends equal
-    to ``members``: that is the proof that G generates it.  A reached map
-    outside ``members`` means they are not closed under composition, and
-    raises AlgebraError.
+    That monoid grows semi-naively from the identity by right multiplication
+    (f . g, g applied first, which reaches the same monoid as the left): the
+    maps reached before meet a new generator, and each newly reached map
+    meets every generator.  Each reached map must be a member, and each
+    member is reached (it is a generator if nothing reached it first), so the
+    monoid ends equal to ``members``: that is the proof that G generates it.
+    A reached map outside ``members`` means they are not closed under
+    composition, and raises AlgebraError.
     """
     reached = {tuple(range(len(carrier)))}
     generators: list[tuple] = []
+    # itemgetter(*g)(f) is f . g = (f[g[0]], f[g[1]], ...), composed in C.  On
+    # one element the identity is the only map, so no getter is ever made
+    # (itemgetter of one index would return a scalar)
+    getters = []
     for h in sorted(members, key=lambda h: (-len(set(h)), h)):
         if h in reached:
             continue
         generators.append(h)
-        frontier, apply = reached, (h,)
+        getters.append(operator.itemgetter(*h))
+        frontier, apply = reached, getters[-1:]
         while frontier:
             new = set()
-            for g in apply:
-                new.update(map(tuple, map(map, itertools.repeat(g.__getitem__), frontier)))
+            for pick in apply:
+                new.update(map(pick, frontier))
             new -= reached
             if stray := new - members:
                 raise AlgebraError("endomorphisms not closed under composition: the composite "
                                    f"{[carrier.elements[v] for v in min(stray)]} is not one")
             reached |= new
-            frontier, apply = new, generators
+            frontier, apply = new, getters
     return generators
 
 
@@ -429,7 +433,7 @@ def verify_basis_equivalence(alg: Algebra, frame: Frame, rep: Representation | N
         chi.table == conjugate for chi, conjugate in zip(gen.chi, rep.conjugates))
 
     defect = commutation_checker(rep)
-    members = {h.codes for h in rep.endos}
+    members = rep.endos.codes
     # E_chi holds the identity and is closed under composition, since
     # (h1 h2) . M = h1 . (h2 . M): it holds E_alpha iff it holds E_alpha's generators
     report["commutation_members_ok"] = all(

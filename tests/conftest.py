@@ -68,6 +68,17 @@ def vector_space(p: int, k: int) -> Algebra:
                     Operation("zero", (), table=FunctionTable(carrier, (), (0,)))))
 
 
+def max_chain(rng: random.Random, n: int) -> Algebra:
+    """The max-semilattice of an n-chain, its carrier listed in a shuffled order."""
+    height = list(range(n))
+    rng.shuffle(height)
+    elements = tuple(f"c{i}" for i in range(n))
+    table = {(a, b): a if height[i] >= height[j] else b
+             for i, a in enumerate(elements) for j, b in enumerate(elements)}
+    carrier = Carrier(elements)
+    return Algebra("chain", carrier, (op_from_rows(carrier, "max", ("l", "r"), table),))
+
+
 def relabeled(alg: Algebra, rng: random.Random) -> Algebra:
     """``alg`` with its carrier listed in a random order.  The order changes
     every Horner code and the search's branching, but not the mathematics."""

@@ -55,7 +55,7 @@ def _horner_tables(alg: Algebra) -> list[tuple[str, int, list[int]]]:
     return [(g.symbol, len(t.rank), list(t.codes)) for g, t in zip(alg.ops, alg.tables)]
 
 
-CODE_POINTS = 256  # a power of at most this many points is closed in byte codes
+CODE_POINTS = 256  # a byte holds a code below this: a point of A^width, or a table's value
 
 
 def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
@@ -75,13 +75,21 @@ def _fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, 
     then the members in order of discovery) flagged incomplete; so it is
     complete exactly when it has at most ``guard`` members.
 
-    Two kernels compute it with identical results.  When A^width has at most
-    CODE_POINTS points, every member fits one byte and ``_code_fixpoint``
-    runs; otherwise ``_vector_fixpoint``.  The power n**width is only formed
-    for width <= 8, which a carrier of two or more elements needs to fit.
+    Three kernels compute it with identical results, picked from the shape.
+    When A^width has at most CODE_POINTS points, every member fits one byte
+    and ``_code_fixpoint`` runs; the power n**width is only formed for
+    width <= 8, which a carrier of two or more elements needs to fit.
+    Otherwise, when the carrier has at most CODE_POINTS elements and every
+    table at most CODE_POINTS codes, every member is one ``bytes`` row and
+    ``_row_fixpoint`` runs.  Any other shape runs ``_vector_fixpoint``.
     """
-    fits = width <= 8 and n ** width <= CODE_POINTS
-    return (_code_fixpoint if fits else _vector_fixpoint)(n, ops, seeds, width, guard)
+    if width <= 8 and n ** width <= CODE_POINTS:
+        kernel = _code_fixpoint
+    elif n <= CODE_POINTS and all(len(flat) <= CODE_POINTS for _symbol, _k, flat in ops):
+        kernel = _row_fixpoint
+    else:
+        kernel = _vector_fixpoint
+    return kernel(n, ops, seeds, width, guard)
 
 
 def _vector_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
@@ -130,6 +138,67 @@ def _vector_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[
         first, start = False, end
 
 
+def _row_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
+                  width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
+    """``_fixpoint`` for at most CODE_POINTS elements and tables of at most
+    CODE_POINTS codes, each member held as one ``bytes`` row of its width,
+    and the rows also laid end to end in one bytearray.
+
+    A head's Horner prefix is a big integer, ``(prefix + row) * n`` over the
+    head's rows read as integers: byte c of it is the Horner code of the
+    head's arguments at coordinate c, shifted for the last slot, and no byte
+    carries, as each stays below the table's length.  The head's whole
+    last-slot block is that slice of the rows plus the prefix repeated once
+    per last-slot member, one ``to_bytes``, and one ``translate`` through
+    the table padded to 256 bytes.
+    """
+    members = {bytes(v): term for v, term in seeds.items()}
+    order = list(members)
+    every = bytearray().join(order)
+    tables = [bytes(flat).ljust(256, b"\0") for _symbol, _k, flat in ops]
+
+    def add(row, term):  # True when the members pass the guard
+        members[row] = term
+        order.append(row)
+        every.extend(row)
+        return len(order) > guard
+
+    def result(complete):
+        return {tuple(row): term for row, term in members.items()}, complete
+
+    first, start = True, 0  # start: position of the previous round's first new member
+    while True:
+        if len(order) > guard:  # the seeds alone; a round stops at the member that passes it
+            return result(False)
+        end = len(order)
+        # the last-slot blocks from the previous round's new members and from all
+        blocks = {lo: bytes(every[lo * width:]) for lo in (start, 0)}
+        numbers = {lo: int.from_bytes(block, "big") for lo, block in blocks.items()}
+        for (symbol, k, flat), table in zip(ops, tables):
+            if not k:
+                if first and (row := bytes(flat[:1]) * width) not in members \
+                        and add(row, ("op", symbol, ())):
+                    return result(False)
+                continue
+            for head in itertools.product(range(end), repeat=k - 1):
+                prefix = 0
+                for i in head:
+                    prefix = (prefix + int.from_bytes(order[i], "big")) * n
+                lo = start if max(head, default=-1) < start else 0
+                block = blocks[lo]
+                if prefix:
+                    repeated = int.from_bytes(prefix.to_bytes(width, "big") * (end - lo), "big")
+                    block = (numbers[lo] + repeated).to_bytes(len(block), "big")
+                values = block.translate(table)
+                for j, x in enumerate(range(0, len(values), width), lo):
+                    if (row := values[x:x + width]) not in members and add(
+                            row, ("op", symbol, tuple(members[order[i]] for i in (*head, j)))):
+                        return result(False)
+        if len(order) == end:
+            return result(True)
+        first, start = False, end
+
+
 @functools.cache  # at most one entry per (n, width) with n**width <= CODE_POINTS
 def _code_tables(n: int, width: int) -> tuple[tuple[tuple, ...], tuple[int, ...],
                                               tuple[bytes, ...]]:
@@ -140,27 +209,71 @@ def _code_tables(n: int, width: int) -> tuple[tuple[tuple, ...], tuple[int, ...]
     return points, weights, tuple(bytes(v[c] for v in points) for c in range(width))
 
 
+class _Lifts(dict):
+    """The lifted tables of one operation over A^width of at most CODE_POINTS
+    points.  A head's lifted table maps each code to the code of the value
+    with that member in the last slot.  It is a sum of big integers, one term
+    per coordinate c: the digits c of all codes, translated through the table
+    row that the head selects at c and scaled by the weight of c.  No byte of
+    the sum carries, as each is a code below 256.
+
+    ``self[code]`` is the table of the head whose one member has that code,
+    built on first use from terms kept by coordinate and head digit, and then
+    kept; the empty head of a unary operation is the head of code 0, the zero
+    vector.  ``build`` makes the table of a longer head from kept rows alone:
+    such heads are quadratically many, and neither their tables nor their
+    terms are kept.
+    """
+
+    def __init__(self, n: int, width: int, flat: list[int]):
+        super().__init__()
+        self.n, self.flat = n, flat
+        self.points, self.weights, self.digits = _code_tables(n, width)
+        self.rows: dict[int, bytes] = {}  # table rows padded to 256 bytes, by Horner prefix
+        self.terms: list[list[int | None]] = [[None] * n for _ in range(width)]
+
+    def __missing__(self, code: int) -> bytes:
+        digits = self.points[code]
+        parts = list(map(list.__getitem__, self.terms, digits))
+        if None in parts:
+            for c, d in enumerate(digits):
+                if parts[c] is None:
+                    parts[c] = self.terms[c][d] = self.term(c, d * self.n)
+        lift = self[code] = self.lift(sum(parts))
+        return lift
+
+    def build(self, head) -> bytes:
+        """The lifted table of the head of these member codes."""
+        prefix = (0,) * len(self.weights)  # the head's Horner code, shifted for the last slot
+        for code in head:
+            prefix = tuple(map(self.n.__mul__, map(operator.add, prefix, self.points[code])))
+        return self.lift(sum(map(self.term, itertools.count(), prefix)))
+
+    def term(self, c: int, p: int) -> int:
+        """The term of coordinate c for a head of Horner prefix p there."""
+        if (row := self.rows.get(p)) is None:
+            row = self.rows[p] = bytes(self.flat[p:p + self.n]).ljust(256, b"\0")
+        return int.from_bytes(self.digits[c].translate(row), "big") * self.weights[c]
+
+    def lift(self, total: int) -> bytes:
+        return total.to_bytes(len(self.points), "big").ljust(256, b"\0")
+
+
 def _code_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tuple, Term],
                    width: int, guard: float = math.inf) -> tuple[dict[tuple, Term], bool]:
     """``_fixpoint`` for A^width of at most CODE_POINTS points, each member
     held as one byte, the Horner code of its vector, in a bytearray of the
     member codes in order.
 
-    For a head, a lifted table maps each code to the code of the value with
-    that member in the last slot, so ``block.translate(lift)`` evaluates a
-    whole last-slot block and ``translate(None, codes)`` leaves the values
-    that are not members yet.  The lifted table is a sum of big integers, one
-    per coordinate c: the digits c of all codes, translated through the table
-    row that the head selects at c and scaled by the weight of c.  No byte of
-    the sum carries, as each is a code below 256.  Tables are built on first
-    use.  Those of heads of at most one member are kept; longer heads,
-    quadratically many, rebuild theirs from kept rows.
+    For a head, its lifted table (see ``_Lifts``) maps each member's code to
+    the code of the value with that member in the last slot, so
+    ``block.translate(lift)`` evaluates a whole last-slot block and
+    ``translate(None, codes)`` leaves the values that are not members yet.
     """
-    points, weights, digits = _code_tables(n, width)
+    points, weights, _digits = _code_tables(n, width)
     codes = bytearray([sum(map(operator.mul, v, weights)) for v in seeds])
     terms = list(seeds.values())
-
-    kept = [({}, {}) for _ in ops]  # per operation: lifted tables by head, rows by prefix
+    kept = [_Lifts(n, width, flat) for _symbol, _k, flat in ops]
 
     def add(code, term):  # True when the members pass the guard
         codes.append(code)
@@ -177,31 +290,27 @@ def _code_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tu
         end = len(codes)
         every = bytes(codes)
         fresh = every[start:]
-        for (symbol, k, flat), (lifts, rows) in zip(ops, kept):
+        for (symbol, k, flat), lifts in zip(ops, kept):
             if not k:
                 if first and (code := flat[0] * sum(weights)) not in codes \
                         and add(code, ("op", symbol, ())):
                     return result(False)
                 continue
-            for head in itertools.product(range(end), repeat=k - 1):
-                if (lift := lifts.get(head)) is None:
-                    prefix = (0,) * width
-                    for i in head:
-                        prefix = tuple(map(n.__mul__, map(operator.add, prefix, points[codes[i]])))
-                    total = 0
-                    for c, p in enumerate(prefix):
-                        if (row := rows.get(p)) is None:
-                            row = rows[p] = bytes(flat[p:p + n]).ljust(256, b"\0")
-                        total += int.from_bytes(digits[c].translate(row), "big") * weights[c]
-                    lift = total.to_bytes(len(points), "big").ljust(256, b"\0")
-                    if k < 3:
-                        lifts[head] = lift
-                block, lo = (fresh, start) if max(head, default=-1) < start else (every, 0)
+            # (i, head, lifted table) per head, i its latest member (-1 for none)
+            if k == 1:
+                heads = [(-1, (), lifts[0])]
+            elif k == 2:
+                heads = zip(range(end), zip(range(end)), map(lifts.__getitem__, every))
+            else:
+                heads = ((max(head), head, lifts.build(map(codes.__getitem__, head)))
+                         for head in itertools.product(range(end), repeat=k - 1))
+            for i, head, lift in heads:
+                block, lo = (fresh, start) if i < start else (every, 0)
                 values = block.translate(lift)
                 if new := values.translate(None, codes):
                     for code in dict.fromkeys(new):
                         j = values.index(code) + lo
-                        if add(code, ("op", symbol, tuple(terms[i] for i in (*head, j)))):
+                        if add(code, ("op", symbol, (*map(terms.__getitem__, head), terms[j]))):
                             return result(False)
         if len(codes) == end:
             return result(True)

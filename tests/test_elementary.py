@@ -2,6 +2,7 @@ import gc
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import op_from_rows, random_algebra
+from conftest import op_from_rows, random_algebra, vector_space
 from ualgebra import elementary
 from ualgebra.combinator import constant_fn, projection, set_ary_compose
 from ualgebra.core import Algebra, AlgebraError, Carrier, FunctionTable
@@ -18,8 +19,11 @@ from ualgebra.elementary import (
     ElementaryFunction,
     GeneratorResult,
     _code_fixpoint,
+    _code_tables,
     _fixpoint,
     _horner_tables,
+    _Lifts,
+    _row_fixpoint,
     _vector_fixpoint,
     elementary_closure,
     elementary_generator,
@@ -192,23 +196,27 @@ def assert_evaluates_only_new_combinations(evaluated, members, complete, ranks, 
         assert total - rounds[max(rounds)] <= evaluated <= total
 
 
-def evaluated_pairs(run):
+def evaluated_pairs(kernel, run, member_size=1):
     """Call ``run()`` under a line trace and add up the lengths of the
-    last-slot blocks that ``_code_fixpoint`` evaluates, which is the number
-    of (head, last-slot member) pairs it evaluated."""
-    lines, first = inspect.getsourcelines(_code_fixpoint)
-    line = first + next(i for i, text in enumerate(lines) if "= block.translate(lift)" in text)
+    last-slot blocks that a byte kernel (``_code_fixpoint`` or
+    ``_row_fixpoint``) evaluates on its one line ``= block.translate(``, in
+    members of ``member_size`` bytes: the number of (head, last-slot member)
+    pairs it evaluated."""
+    lines, first = inspect.getsourcelines(kernel)
+    sites = [i for i, text in enumerate(lines) if "= block.translate(" in text]
+    assert len(sites) == 1
+    line = first + sites[0]
     count = 0
 
     def trace(frame, event, arg):
         nonlocal count
         if event == "line" and frame.f_lineno == line:
-            count += len(frame.f_locals["block"])
+            count += len(frame.f_locals["block"]) // member_size
         return trace
 
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg:
-                 trace if frame.f_code is _code_fixpoint.__code__ else None)
+                 trace if frame.f_code is kernel.__code__ else None)
     try:
         return run(), count
     finally:
@@ -225,10 +233,16 @@ def costly(shape, guard):
     return guard == math.inf and shape not in ("elements", "pairs")
 
 
-def assert_matches_naive_rounds(seed, shape, guard):
+def fits_bytes(alg):
+    """Whether the row kernel can close over ``alg``: at most 256 elements
+    and every table of at most 256 codes."""
+    return len(alg.carrier) <= 256 and all(len(t.codes) <= 256 for t in alg.tables)
+
+
+def assert_matches_naive_rounds(seed, shape, guard, kernel=_fixpoint):
     alg, seeds, width = closure_case(seed, shape)
-    members, complete = _fixpoint(len(alg.carrier), _horner_tables(alg),
-                                  indexed_seeds(alg, seeds), width, guard)
+    members, complete = kernel(len(alg.carrier), _horner_tables(alg),
+                               indexed_seeds(alg, seeds), width, guard)
     expected, expected_complete = naive_close(alg, seeds, width, guard)
     assert list(members.items()) == list(indexed_seeds(alg, expected).items())
     assert complete == expected_complete
@@ -255,8 +269,18 @@ def test_close_matches_naive_rounds_at_the_boundary(seed, shape, guard):
     assert_matches_naive_rounds(seed, shape, guard)
 
 
-def assert_kernels_agree(*args):
-    members, complete = _code_fixpoint(*args)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_row_kernel_matches_naive_rounds(seed, shape, guard):
+    """The row kernel against the naive rounds on every shape whose tables
+    fit a byte, on and past 256 points: nullary and ternary operations,
+    and guards that stop the closure part-way."""
+    assume(not costly(shape, guard) and fits_bytes(closure_case(seed, shape)[0]))
+    assert_matches_naive_rounds(seed, shape, guard, _row_fixpoint)
+
+
+def assert_kernels_agree(*args, kernel=_code_fixpoint):
+    members, complete = kernel(*args)
     expected, expected_complete = _vector_fixpoint(*args)
     assert list(members.items()) == list(expected.items())
     assert complete == expected_complete
@@ -289,19 +313,68 @@ def test_kernels_agree_on_full_one_slot_closures():
     assert full >= 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_row_kernel_matches_vector_kernel(seed, shape, guard):
+    """The row kernel against the vector kernel on every shape whose tables
+    fit a byte, whatever the size of the power."""
+    assume(not costly(shape, guard))
+    alg, seeds, width = closure_case(seed, shape)
+    assume(fits_bytes(alg))
+    assert_kernels_agree(len(alg.carrier), _horner_tables(alg), indexed_seeds(alg, seeds),
+                         width, guard, kernel=_row_fixpoint)
+
+
+@pytest.mark.parametrize("n, rank", [(16, 2), (6, 3)])
+@pytest.mark.parametrize("guard", [5, 40])
+def test_row_kernel_at_the_table_boundary(n, rank, guard):
+    """Tables of 256 and 216 codes, whose largest code is where a head's
+    prefix plus a last-slot value comes closest to carrying into the next
+    byte, with a unary operation and a constant, on powers of width 3."""
+    rng = random.Random(n * 1000 + rank)
+    ops = [("f", rank, [rng.randrange(n) for _ in range(n ** rank)]),
+           ("u", 1, [rng.randrange(n) for _ in range(n)]), ("c", 0, [n - 1])]
+    ops[0][2][-1] = n - 1
+    seeds = {(n - 1, n - 2, 0): ("proj", "x"), (n - 1, 0, n - 1): ("proj", "y")}
+    members = assert_kernels_agree(n, ops, seeds, 3, guard, kernel=_row_fixpoint)
+    assert len(members) == guard + 1
+
+
+def chosen_kernels(monkeypatch, run):
+    """The kernels that ``_fixpoint`` runs during ``run()``, in order."""
+    chosen = []
+    for name in ("code", "row", "vector"):
+        kernel = getattr(elementary, f"_{name}_fixpoint")
+        monkeypatch.setattr(elementary, f"_{name}_fixpoint", lambda *args, name=name, kernel=kernel:
+                            chosen.append(name) or kernel(*args))
+    return run(), chosen
+
+
 @pytest.mark.parametrize("n, width, kernel", [
     (4, 4, "code"), (16, 2, "code"), (2, 8, "code"), (3, 5, "code"), (256, 1, "code"),
-    (1, 1, "code"), (2, 9, "vector"), (3, 6, "vector"), (17, 2, "vector"),
-    (257, 1, "vector"), (16, 16**4, "vector")])
+    (1, 1, "code"), (2, 9, "row"), (3, 6, "row"), (16, 3, "row"), (17, 2, "vector"),
+    (257, 1, "vector"), (16, 16**4, "row")])
 def test_kernel_is_chosen_by_the_power_size(monkeypatch, n, width, kernel):
-    """The code kernel runs exactly when A^width has at most 256 points; a
-    wide power, as for the generator on the 16-element semilattice, goes to
-    the vector kernel."""
-    chosen = []
-    for name in ("code", "vector"):
-        monkeypatch.setattr(elementary, f"_{name}_fixpoint",
-                            lambda *args, name=name: chosen.append(name) or ({}, True))
-    _fixpoint(n, [], {}, width)
+    """Under one binary operation, the code kernel runs exactly when A^width
+    has at most 256 points; past that, the row kernel runs while the table
+    has at most 256 codes (16 elements), as for the generator on the
+    16-element semilattice, and the vector kernel beyond."""
+    ops = [("f", 2, [0] * n**2)]
+    _result, chosen = chosen_kernels(monkeypatch, lambda: _fixpoint(n, ops, {}, width))
+    assert chosen == [kernel]
+
+
+@pytest.mark.parametrize("n, width, ranks, kernel", [
+    (6, 4, (3,), "row"), (7, 3, (3,), "vector"), (6, 4, (0, 1, 3), "row"),
+    (7, 3, (0, 1, 2, 3), "vector"), (16, 3, (1, 2, 2), "row"), (16, 3, (2, 3), "vector"),
+    (256, 2, (0,), "row"), (256, 2, (1,), "row"), (257, 2, (0,), "vector"),
+    (257, 1, (), "vector"), (2, 16, (), "row")])
+def test_kernel_is_chosen_by_the_table_size(monkeypatch, n, width, ranks, kernel):
+    """Past 256 points the row kernel runs when the carrier has at most 256
+    elements and every table at most 256 codes: 6**3 = 216 runs it and
+    7**3 = 343 does not; 257 elements do not even with only constants."""
+    ops = [(f"f{i}", k, [0] * n**k) for i, k in enumerate(ranks)]
+    _result, chosen = chosen_kernels(monkeypatch, lambda: _fixpoint(n, ops, {}, width))
     assert chosen == [kernel]
 
 
@@ -336,9 +409,60 @@ def test_code_kernel_evaluates_only_new_combinations(seed, shape, guard):
     assume(n ** width <= 256)
     ops = _horner_tables(alg)
     (members, complete), pairs = evaluated_pairs(
-        lambda: _code_fixpoint(n, ops, indexed_seeds(alg, seeds), width, guard))
+        _code_fixpoint, lambda: _code_fixpoint(n, ops, indexed_seeds(alg, seeds), width, guard))
     assert_evaluates_only_new_combinations(
         pairs, members, complete, [k for _symbol, k, _flat in ops], lambda r, k, c: c if k else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, guard=GUARDS)
+def test_row_kernel_evaluates_only_new_combinations(seed, shape, guard):
+    """The row kernel evaluates the same combinations: its last-slot
+    blocks, cut into rows, hold exactly the (head, last-slot) pairs that
+    touch the previous round's new members, but for a round stopped by the
+    guard."""
+    assume(not costly(shape, guard))
+    alg, seeds, width = closure_case(seed, shape)
+    assume(fits_bytes(alg))
+    ops = _horner_tables(alg)
+    (members, complete), pairs = evaluated_pairs(_row_fixpoint, lambda: _row_fixpoint(
+        len(alg.carrier), ops, indexed_seeds(alg, seeds), width, guard), width)
+    assert_evaluates_only_new_combinations(
+        pairs, members, complete, [k for _symbol, k, _flat in ops], lambda r, k, c: c if k else 0)
+
+
+@pytest.mark.parametrize("n, width", [(2, 2), (2, 4), (2, 8), (3, 3), (4, 4)])
+def test_kept_lifts_match_lifts_from_table_rows(n, width):
+    """Every lifted table that ``_Lifts`` keeps, each summed from kept
+    per-coordinate terms and read in a random order, equals the one read
+    off the table rows code by code; so do the tables it builds for heads
+    of two members, which it does not keep."""
+    rng = random.Random(n * 100 + width)
+    points, weights, _digits = _code_tables(n, width)
+
+    def from_rows(flat, head):
+        prefixes = [0] * width
+        for code in head:
+            prefixes = [(p + d) * n for p, d in zip(prefixes, points[code])]
+        values = [[flat[p + d] for p, d in zip(prefixes, v)] for v in points]
+        return bytes(sum(map(operator.mul, v, weights)) for v in values).ljust(256, b"\0")
+
+    for rank in (1, 2, 3):
+        flat = [rng.randrange(n) for _ in range(n ** rank)]
+        lifts = _Lifts(n, width, flat)
+        if rank == 3:
+            for _ in range(20):
+                head = (rng.randrange(n ** width), rng.randrange(n ** width))
+                assert lifts.build(head) == from_rows(flat, head)
+            assert not lifts
+            continue
+        heads = list(range(n ** width)) if rank == 2 else [0]
+        rng.shuffle(heads)
+        for code in heads:
+            lifts[code]
+        assert len(lifts) == len(heads)
+        for code, lift in lifts.items():
+            assert lift == from_rows(flat, (code,) if rank == 2 else ())
 
 
 @pytest.mark.parametrize("seed, size", [(0, 221), (1, 211)])
@@ -635,3 +759,36 @@ def test_generator_matches_pair_closures(max_size):
                 assert term_table(alg, ef.witness, frame.X) == ef.table
     # every outcome is exercised
     assert {"ok", "not-generator", "not-independent"} <= set(statuses)
+
+
+@pytest.mark.parametrize("p, k, kernel", [(2, 3, "row"), (3, 2, "row"), (2, 4, "row"),
+                                          (5, 2, "vector")])
+def test_generator_on_vector_spaces_is_the_linear_forms(monkeypatch, p, k, kernel):
+    """On GF(p)^k with the unit vectors as frame, chi_a is the linear form
+    M -> sum of a_i M(x_i), computed here in integers from the coordinates.
+    The closure of the frame's arity runs the row kernel while ``plus`` has
+    at most 256 codes, and the vector kernel on GF(5)^2 (625 codes); the
+    generated subuniverse before it runs the code kernel."""
+    alg = vector_space(p, k)
+    n = len(alg.carrier)
+    X = tuple(f"x{i}" for i in range(k))
+    units = ("".join("1" if j == i else "0" for j in range(k)) for i in range(k))
+    frame = Frame(X, dict(zip(X, units)))
+    result, chosen = chosen_kernels(monkeypatch, lambda: elementary_generator(alg, frame))
+    assert chosen == ["code", kernel]
+    assert result.status == "ok"
+
+    def coordinates(v):  # carrier index -> vector, the first coordinate slowest
+        return [v // p ** (k - 1 - j) % p for j in range(k)]
+
+    def index(vector):
+        return sum(x * p ** (k - 1 - j) for j, x in enumerate(vector))
+
+    plus = [[index((x + y) % p for x, y in zip(coordinates(u), coordinates(v))) for v in range(n)]
+            for u in range(n)]
+    times = [[index(s * x % p for x in coordinates(v)) for v in range(n)] for s in range(p)]
+    for a, chi in enumerate(result.chi):
+        table = [0]  # chi_a over the first i labels, in Horner order of the matrices
+        for a_i in coordinates(a):
+            table = [plus[t][times[a_i][m]] for t in table for m in range(n)]
+        assert chi.table.codes == tuple(table)

@@ -317,6 +317,20 @@ def _code_fixpoint(n: int, ops: list[tuple[str, int, list[int]]], seeds: dict[tu
         first, start = False, end
 
 
+def _projection_seeds(n: int, Y: Rank) -> dict[tuple, Term]:
+    """Each projection's vector over A^Y in canonical order (its table's
+    codes), with its term; labels whose vectors coincide (n = 1) keep the
+    first.  The projection to position pos repeats each value n^(k-1-pos)
+    times, and that pattern n^pos times, for k = |Y|."""
+    k = len(Y)
+    seeds: dict[tuple, Term] = {}
+    for pos, x in enumerate(Y):
+        block = n ** (k - 1 - pos)
+        pattern = tuple(itertools.chain.from_iterable([(a,) * block for a in range(n)]))
+        seeds.setdefault(pattern * n**pos, ("proj", x))
+    return seeds
+
+
 def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> ClosureResult:
     """Least fixpoint of composition over the projections, deduplicated by table.
 
@@ -329,12 +343,7 @@ def elementary_closure(alg: Algebra, Y: Rank, guard: int = DEFAULT_GUARD) -> Clo
     ops = _horner_tables(alg)
     carrier = alg.carrier
     n = len(carrier)
-    # a member's vector over A^Y in canonical order is its table's codes
-    assigns = list(itertools.product(range(n), repeat=len(Y)))
-    seeds: dict[tuple, Term] = {}
-    for pos, x in enumerate(Y):
-        seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
-    members, complete = _fixpoint(n, ops, seeds, len(assigns), guard)
+    members, complete = _fixpoint(n, ops, _projection_seeds(n, Y), n ** len(Y), guard)
     functions = tuple(ElementaryFunction(FunctionTable(carrier, Y, vector), witness)
                       for vector, witness in members.items())
     return ClosureResult(functions, complete)

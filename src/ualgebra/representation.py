@@ -9,6 +9,7 @@ return in report fields.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -86,6 +87,35 @@ def _enumerate_brute(alg: Algebra, cap: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _swaps_to_itself(codes: tuple, n: int, k: int, p: int) -> bool:
+    """Whether a table of arity k keeps its codes when arguments p and p + 1
+    swap.  Fixing the other arguments, each value a of argument p gives two
+    slices of n codes: a's row (a, b) and a's column (b, a) over every b.
+    All rows but the last are compared, as the last row's codes were seen in
+    the other columns."""
+    m = n ** (k - p - 2)  # codes per value of argument p + 1
+    width = n * m  # codes per value of argument p
+    # most tables already differ at (.., 0, 1, ..) and (.., 1, 0, ..)
+    return codes[m:m + 1] == codes[width:width + 1] and all(
+        codes[base + a * width:base + (a + 1) * width:m]
+        == codes[base + a * m:base + n * width:width]
+        for pre in range(0, n**k, n * width) for base in range(pre, pre + m)
+        for a in range(n - 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _kept_rows(n: int, k: int, sorted_at: tuple, idempotent: bool) -> tuple:
+    """The rows the plan keeps of a table of arity k on n elements, as (code,
+    args, the set of args) in code order: those whose arguments do not
+    decrease at any position p, p + 1 with p in ``sorted_at``, and the
+    off-diagonal ones of an idempotent table.  Tables of one shape share
+    them, so the search of a small algebra does not rebuild them."""
+    return tuple((code, args, frozenset(args))
+                 for code, args in enumerate(itertools.product(range(n), repeat=k))
+                 if all(args[p] <= args[p + 1] for p in sorted_at)
+                 and not (idempotent and args.count(args[0]) == k))
+
+
 def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
     """The endomorphism search of ``alg`` as the seed's steps and one level per
     branched element, shared by both search kernels; ``tables`` holds each
@@ -101,23 +131,47 @@ def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
     steps), and its steps open with the unit rows: checks of the rows that
     mention the element and otherwise only elements assigned before, result
     included.
+
+    Two kinds of rows are left out, as constraints implied by the others
+    (Gent, Petrie & Puget 2006), read off each table's codes.  Where a table
+    is symmetric in adjacent arguments, a row whose arguments decrease
+    within a run of such positions states the same equation as the row with
+    them sorted: f(.., b, a, ..) = f(.., a, b, ..) and f(.., h(b), h(a), ..)
+    = f(.., h(a), h(b), ..), and the two rows share their argument set and
+    result, so they become ready together.  Where a table of positive arity
+    is idempotent, the diagonal row f(a, .., a) = a reads h(a) =
+    f(h(a), .., h(a)), which holds for every h.  Neither kind of row can
+    reject a map or assign an element that the kept rows do not, so both
+    kernels find the same endomorphisms.
     """
     n = len(alg.carrier)
-    # every row as (table, args, res, the set of its arguments)
-    pending = [(table, args, res, frozenset(args)) for table, t in zip(tables, alg.tables)
-               for args, res in zip(itertools.product(range(n), repeat=len(t.rank)), t.codes)]
+    identity = tuple(range(n))
+    # every kept row as (table, args, res, the set of its arguments)
+    pending = []
+    for table, t in zip(tables, alg.tables):
+        k, codes = len(t.rank), t.codes
+        sorted_at = tuple([p for p in range(k - 1) if _swaps_to_itself(codes, n, k, p)])
+        # the diagonal (a, .., a) has Horner code a * (1 + n + .. + n^(k-1))
+        step = (n**k - 1) // (n - 1) if n > 1 else 1
+        idempotent = k > 0 and codes[::step] == identity
+        pending += [(table, args, codes[code], argset)
+                    for code, args, argset in _kept_rows(n, k, sorted_at, idempotent)]
     assigned: set[int] = set()
 
     def derive() -> tuple:
         # the rows whose arguments become assigned, in derivation order
         nonlocal pending
         steps = []
-        while ready := [row for row in pending if row[3] <= assigned]:
-            pending = [row for row in pending if not row[3] <= assigned]
+        while True:
+            ready, waiting = [], []
+            for row in pending:
+                (ready if row[3] <= assigned else waiting).append(row)
+            if not ready:
+                return tuple(steps)
+            pending = waiting
             for table, args, res, _ in ready:
                 steps.append((table, args, res, res not in assigned))
                 assigned.add(res)
-        return tuple(steps)
 
     seed = derive()
     levels = []
@@ -125,9 +179,11 @@ def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
         e = min(set(range(n)) - assigned)
         assigned.add(e)
         # the rows that mention e and otherwise only elements assigned before
-        unit_rows = [row for row in pending if row[3] <= assigned and row[2] in assigned]
-        pending = [row for row in pending if not (row[3] <= assigned and row[2] in assigned)]
-        levels.append((e, tuple((table, args, res, False) for table, args, res, _ in unit_rows)
+        units, waiting = [], []
+        for row in pending:
+            (units if row[2] in assigned and row[3] <= assigned else waiting).append(row)
+        pending = waiting
+        levels.append((e, tuple((table, args, res, False) for table, args, res, _ in units)
                        + derive()))
     return seed, levels
 

@@ -23,6 +23,7 @@ from ualgebra.elementary import (
     _fixpoint,
     _horner_tables,
     _Lifts,
+    _projection_seeds,
     _row_fixpoint,
     _vector_fixpoint,
     elementary_closure,
@@ -544,6 +545,19 @@ def test_projections_always_members(semilattice2, boolean):
             tables = elementary_closure(alg, Y).tables()
             for x in Y:
                 assert projection(alg.carrier, Y, x) in tables
+
+
+def test_projection_seeds_match_the_assignments():
+    # each projection repeated in blocks is the comprehension over all of
+    # A^Y, in the same dict order; on one element the labels share a vector
+    for n in range(1, 5):
+        for size in range(4):
+            Y = tuple("pqr"[:size])
+            assigns = list(itertools.product(range(n), repeat=size))
+            seeds = {}
+            for pos, x in enumerate(Y):
+                seeds.setdefault(tuple(args[pos] for args in assigns), ("proj", x))
+            assert list(_projection_seeds(n, Y).items()) == list(seeds.items())
 
 
 def test_guard_abandons():

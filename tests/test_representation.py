@@ -161,14 +161,48 @@ def _horner(values, n):
     return code
 
 
+def sorted_in_runs(args: tuple, symmetric: set) -> tuple:
+    """``args`` with each run of positions p, p + 1, .. (every adjacent pair of
+    the run in ``symmetric``) sorted."""
+    out, start = list(args), 0
+    for p in range(1, len(args) + 1):
+        if p == len(args) or p - 1 not in symmetric:
+            out[start:p] = sorted(out[start:p])
+            start = p
+    return tuple(out)
+
+
+def split_rows(alg: Algebra) -> tuple[list, list]:
+    """Every row of ``alg`` as (table index, args, res), split into the rows the
+    plan must keep and the rows it may drop.  A table's symmetric adjacent
+    positions and its idempotence are read off its rows here: a row is
+    dropped when it is the diagonal of an idempotent table of positive arity,
+    or when sorting its arguments within runs of symmetric positions changes
+    it (its twin, the sorted row, is kept)."""
+    n = len(alg.carrier)
+    kept, dropped = [], []
+    for t, table in enumerate(alg.tables):
+        k = len(table.rank)
+        rows = dict(zip(itertools.product(range(n), repeat=k), table.codes))
+        symmetric = {p for p in range(k - 1)
+                     if all(res == rows[args[:p] + (args[p + 1], args[p]) + args[p + 2:]]
+                            for args, res in rows.items())}
+        idempotent = k > 0 and all(rows[(a,) * k] == a for a in range(n))
+        for args, res in rows.items():
+            diagonal = idempotent and len(set(args)) == 1
+            twin = sorted_in_runs(args, symmetric)
+            (dropped if diagonal or twin != args else kept).append((t, args, res))
+            if twin != args:
+                assert rows[twin] == res  # the twin states the same equation
+    return kept, dropped
+
+
 def check_plan(alg: Algebra) -> list:
     """Walk the derived plan of ``alg``, each table stood for by its index,
     and check each part of it; return the rows it consumes, as (table index,
-    args), in plan order."""
+    args, res), in plan order."""
     n = len(alg.carrier)
-    every_row = [(t, args, res) for t, table in enumerate(alg.tables)
-                 for args, res in zip(itertools.product(range(n), repeat=len(table.rank)),
-                                      table.codes)]
+    kept, _dropped = split_rows(alg)
     seed, levels = _derive_plan(alg, list(range(len(alg.tables))))
     assigned, seen = set(), []
 
@@ -178,15 +212,15 @@ def check_plan(alg: Algebra) -> list:
             assert alg.tables[t].codes[_horner(args, n)] == res
             assert set(args) <= assigned and is_set == (res not in assigned)
             assigned.add(res)
-            seen.append((t, args))
+            seen.append((t, args, res))
 
     walk(seed)
     for e, steps in levels:
         assert e == min(set(range(n)) - assigned)
         assigned.add(e)
-        # the level opens with its unit rows, as checks: the rows that mention
-        # e and otherwise only elements assigned before, result included
-        units = {(t, args, res) for t, args, res in every_row
+        # the level opens with its unit rows, as checks: the kept rows that
+        # mention e and otherwise only elements assigned before, result included
+        units = {(t, args, res) for t, args, res in kept
                  if e in args and set(args) | {res} <= assigned}
         head = steps[:len(units)]
         assert {(t, args, res) for t, args, res, _ in head} == units
@@ -196,22 +230,102 @@ def check_plan(alg: Algebra) -> list:
     return seen
 
 
+def symmetric_operation(rng: random.Random, carrier, arity: int, symmetric: list,
+                        idempotent: bool = False, symbol: str = "s") -> Operation:
+    """A random table of ``arity`` that keeps its values when the arguments at
+    any two positions of one set in ``symmetric`` swap (the sets are
+    disjoint), and with f(a, .., a) = a when ``idempotent``."""
+    n = len(carrier)
+    values: dict[tuple, int] = {}
+    codes = []
+    for args in itertools.product(range(n), repeat=arity):
+        key = list(args)
+        for positions in symmetric:
+            for p, v in zip(sorted(positions), sorted(args[p] for p in positions)):
+                key[p] = v
+        if idempotent and len(set(args)) == 1:
+            codes.append(args[0])
+        else:
+            codes.append(values.setdefault(tuple(key), rng.randrange(n)))
+    rank = tuple(f"x{i}" for i in range(arity))
+    return Operation(symbol, rank, table=FunctionTable(carrier, rank, tuple(codes)))
+
+
 def test_plan_consumes_every_row_once(semilattice2, semilattice3, boolean, trivial):
+    # the plan consumes every kept row once, and every row it drops is an
+    # argument-order twin of a kept row or the diagonal of an idempotent table
     rng = random.Random(13)
-    algebras = [semilattice2[0], semilattice3[0], boolean[0], trivial[0], max_chain(rng, 6)]
+    algebras = [semilattice2[0], semilattice3[0], boolean[0], trivial[0], max_chain(rng, 6),
+                vector_space(3, 2), projection_algebra(3)]
     for _ in range(12):
         alg, _frame = random_algebra(rng, max_size=4)
         ternary = ternary_operation(rng, alg.carrier, rng.random() < 0.5)
         algebras.append(Algebra(alg.name, alg.carrier, alg.ops + (ternary,)))
+    for symmetric in ([{0, 1}], [{1, 2}], [{0, 1, 2}], [{0, 2}], [{0, 1}, {2, 3}]):
+        carrier = Carrier(tuple(f"a{i}" for i in range(rng.randint(2, 4))))
+        arity = 1 + max(max(positions) for positions in symmetric)
+        ops = (symmetric_operation(rng, carrier, arity, symmetric, rng.random() < 0.5),
+               symmetric_operation(rng, carrier, 2, [{0, 1}], True, "join"))
+        algebras.append(Algebra("symmetric", carrier, ops))
+    dropped_some = 0
     for alg in algebras:
-        n = len(alg.carrier)
-        every_row = [(t, args) for t, table in enumerate(alg.tables)
-                     for args in itertools.product(range(n), repeat=len(table.rank))]
-        assert sorted(check_plan(alg)) == sorted(every_row)
+        kept, dropped = split_rows(alg)
+        assert sorted(check_plan(alg)) == sorted(kept)
+        dropped_some += bool(dropped)
+    assert dropped_some >= 10
     # on a join semilattice, propagation derives joins of branched elements
     for alg, _frame in (semilattice2, semilattice3):
         _seed, levels = _derive_plan(alg, alg.tables)
         assert any(is_set for _e, steps in levels for *_, is_set in steps)
+
+
+def test_plan_keeps_tables_symmetric_only_in_outer_arguments():
+    # a table symmetric in positions 0 and 2 but in no adjacent pair keeps
+    # every row in the plan
+    rng = random.Random(5)
+    carrier = Carrier(("a0", "a1", "a2"))
+    op = symmetric_operation(rng, carrier, 3, [{0, 2}])
+    alg = Algebra("outer", carrier, (op,))
+    _kept, dropped = split_rows(alg)
+    assert not dropped
+    assert len(check_plan(alg)) == 27
+
+
+def plan_steps(alg: Algebra) -> int:
+    seed, levels = _derive_plan(alg, alg.tables)
+    return len(seed) + sum(len(steps) for _e, steps in levels)
+
+
+def test_plan_step_counts_in_closed_form():
+    # a max-chain's max is commutative and idempotent: the n(n + 1)/2 rows
+    # with l <= r, less the n diagonal ones; GF(p)^k's plus is commutative
+    # but not idempotent: p^k (p^k + 1)/2 rows, and one for zero
+    chain = relabeled(max_chain(random.Random(3), 8), random.Random(4))
+    assert plan_steps(chain) == 8 * 9 // 2 - 8 == 28
+    assert plan_steps(vector_space(3, 3)) == 27 * 28 // 2 + 1 == 379
+    assert plan_steps(vector_space(5, 2)) == 25 * 26 // 2 + 1 == 326
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       shape=st.sampled_from(((2, [{0, 1}]), (3, [{0, 1}]), (3, [{1, 2}]), (3, [{0, 1, 2}]),
+                              (3, [{0, 2}]))),
+       idempotent=st.booleans(), unary=st.booleans())
+def test_kernels_match_brute_on_symmetric_tables(seed, n, shape, idempotent, unary):
+    # binary tables, idempotent or not, and ternary tables symmetric in (0, 1)
+    # only, in (1, 2) only, in all three positions, or in (0, 2) only, which
+    # no adjacent pair shows, so that its rows stay in the plan
+    rng = random.Random(seed)
+    carrier = Carrier(tuple(f"a{i}" for i in range(n)))
+    arity, symmetric = shape
+    ops = (symmetric_operation(rng, carrier, arity, symmetric, idempotent),)
+    if unary:
+        ops += (Operation("u", ("x",), table=FunctionTable(
+            carrier, ("x",), tuple(rng.randrange(n) for _ in range(n)))),)
+    alg = Algebra("symmetric", carrier, ops)
+    kept, _dropped = split_rows(alg)
+    assert sorted(check_plan(alg)) == sorted(kept)
+    assert enumerate_endomorphisms(alg).codes == kernels_agree(alg)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

@@ -199,9 +199,9 @@ class FunctionTable:
         codes of the unary map that results."""
         if not self.rank:
             raise AlgebraError("cannot equalize a nullary table")
-        n = len(self.carrier)
-        step = sum(n**i for i in range(len(self.rank)))  # the code of (1, ..., 1)
-        return tuple(self.codes[a * step] for a in range(n))
+        n, k = len(self.carrier), len(self.rank)
+        step = (n**k - 1) // (n - 1) if n > 1 else 1  # the code of (1, ..., 1)
+        return self.codes[::step]  # the codes of (a, ..., a), a * step for each a
 
 
 def tabulate(carrier: Carrier, rank: Rank, fn) -> FunctionTable:

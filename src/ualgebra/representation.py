@@ -9,7 +9,6 @@ return in report fields.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -95,25 +94,15 @@ def _swaps_to_itself(codes: tuple, n: int, k: int, p: int) -> bool:
     the other columns."""
     m = n ** (k - p - 2)  # codes per value of argument p + 1
     width = n * m  # codes per value of argument p
-    # most tables already differ at (.., 0, 1, ..) and (.., 1, 0, ..)
-    return codes[m:m + 1] == codes[width:width + 1] and all(
-        codes[base + a * width:base + (a + 1) * width:m]
-        == codes[base + a * m:base + n * width:width]
-        for pre in range(0, n**k, n * width) for base in range(pre, pre + m)
-        for a in range(n - 1))
-
-
-@functools.lru_cache(maxsize=64)
-def _kept_rows(n: int, k: int, sorted_at: tuple, idempotent: bool) -> tuple:
-    """The rows the plan keeps of a table of arity k on n elements, as (code,
-    args, the set of args) in code order: those whose arguments do not
-    decrease at any position p, p + 1 with p in ``sorted_at``, and the
-    off-diagonal ones of an idempotent table.  Tables of one shape share
-    them, so the search of a small algebra does not rebuild them."""
-    return tuple((code, args, frozenset(args))
-                 for code, args in enumerate(itertools.product(range(n), repeat=k))
-                 if all(args[p] <= args[p + 1] for p in sorted_at)
-                 and not (idempotent and args.count(args[0]) == k))
+    if codes[m:m + 1] != codes[width:width + 1]:  # most tables differ at (.., 0, 1, ..)
+        return False
+    for pre in range(0, n**k, n * width):
+        for base in range(pre, pre + m):
+            for a in range(n - 1):
+                if (codes[base + a * width:base + (a + 1) * width:m]
+                        != codes[base + a * m:base + n * width:width]):
+                    return False
+    return True
 
 
 def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
@@ -146,45 +135,63 @@ def _derive_plan(alg: Algebra, tables: list) -> tuple[tuple, list[tuple]]:
     """
     n = len(alg.carrier)
     identity = tuple(range(n))
-    # every kept row as (table, args, res, the set of its arguments)
+    # every kept row as (table, args, res)
     pending = []
     for table, t in zip(tables, alg.tables):
         k, codes = len(t.rank), t.codes
-        sorted_at = tuple([p for p in range(k - 1) if _swaps_to_itself(codes, n, k, p)])
-        # the diagonal (a, .., a) has Horner code a * (1 + n + .. + n^(k-1))
-        step = (n**k - 1) // (n - 1) if n > 1 else 1
-        idempotent = k > 0 and codes[::step] == identity
-        pending += [(table, args, codes[code], argset)
-                    for code, args, argset in _kept_rows(n, k, sorted_at, idempotent)]
+        rows = [(table, args, res)
+                for args, res in zip(itertools.product(range(n), repeat=k), codes)]
+        if k:
+            sorted_at = [p for p in range(k - 1) if _swaps_to_itself(codes, n, k, p)]
+            idempotent = codes[0] == 0 and t.equalize() == identity  # most fail at f(0, .., 0)
+            if sorted_at or idempotent:
+                rows = [row for row in rows if all(row[1][p] <= row[1][p + 1] for p in sorted_at)
+                        and not (idempotent and row[1].count(row[1][0]) == k)]
+        pending += rows
     assigned: set[int] = set()
+    covered = assigned.issuperset  # whether a row's arguments are all assigned
 
-    def derive() -> tuple:
-        # the rows whose arguments become assigned, in derivation order
+    def split() -> tuple[list, list]:
+        # the pending rows that mention only assigned elements, as those whose
+        # result is assigned too and the rest, in one pass
+        nonlocal pending
+        units, ready, waiting = [], [], []
+        for row in pending:
+            if covered(row[1]):
+                (units if row[2] in assigned else ready).append(row)
+            else:
+                waiting.append(row)
+        pending = waiting
+        return units, ready
+
+    def derive(ready: list) -> tuple:
+        # the ready rows and the rows they make ready in turn, in derivation order
         nonlocal pending
         steps = []
-        while True:
-            ready, waiting = [], []
-            for row in pending:
-                (ready if row[3] <= assigned else waiting).append(row)
-            if not ready:
-                return tuple(steps)
-            pending = waiting
-            for table, args, res, _ in ready:
+        while ready:
+            before = len(assigned)
+            for table, args, res in ready:
                 steps.append((table, args, res, res not in assigned))
                 assigned.add(res)
+            if len(assigned) == before:  # no new element, so no row becomes ready
+                break
+            ready, waiting = [], []
+            for row in pending:
+                (ready if covered(row[1]) else waiting).append(row)
+            pending = waiting
+        return tuple(steps)
 
-    seed = derive()
+    seed = derive(split()[1])  # nothing is assigned: the nullary rows are ready
     levels = []
+    e = 0
     while len(assigned) < n:
-        e = min(set(range(n)) - assigned)
+        while e in assigned:  # branch on the lowest unassigned element
+            e += 1
         assigned.add(e)
-        # the rows that mention e and otherwise only elements assigned before
-        units, waiting = [], []
-        for row in pending:
-            (units if row[2] in assigned and row[3] <= assigned else waiting).append(row)
-        pending = waiting
-        levels.append((e, tuple((table, args, res, False) for table, args, res, _ in units)
-                       + derive()))
+        # the unit rows mention e and otherwise only elements assigned before
+        units, ready = split()
+        levels.append((e, tuple((table, args, res, False) for table, args, res in units)
+                       + derive(ready)))
     return seed, levels
 
 
